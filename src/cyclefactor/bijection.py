@@ -114,17 +114,20 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     )
 
 
+def _top_down(children: dict[int, list[int]]) -> list[int]:
+    """The root 0 and every S-vertex reachable from it, each after its parent."""
+    order = [0]
+    for v in order:  # breadth first: the list grows while it is read
+        order.extend(children[v])
+    return order
+
+
 def _subtree_node_counts(m: MultiNodedRootedTree):
     """Node counts of every vertex- and node-rooted subtree."""
     children = m.tree.children_of()
     vertex_count: dict[int, int] = {}
-
-    def fill(v: int) -> int:
-        total = m.f_of(v) + sum(fill(c) for c in children[v])
-        vertex_count[v] = total
-        return total
-
-    fill(0)
+    for v in reversed(_top_down(children)):
+        vertex_count[v] = m.f_of(v) + sum(vertex_count[c] for c in children[v])
     attached: dict[tuple[int, int], list[int]] = {}
     for c in m.tree.svertices:
         node = (m.tree.parent_of(c), m.beta_of(c))
@@ -189,11 +192,6 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
     return lm, LabelRanges(node_ranges, vertex_ranges)
 
 
-def _as_interval(values: set[int]) -> tuple[int, int] | None:
-    lo, hi = min(values), max(values)
-    return (lo, hi) if hi - lo + 1 == len(values) else None
-
-
 def check_label_ranges(lm: LabeledMNR) -> tuple[bool, LabelRanges | None]:
     """Decide whether a labeling unfolds to a factorization graph.
 
@@ -206,38 +204,31 @@ def check_label_ranges(lm: LabeledMNR) -> tuple[bool, LabelRanges | None]:
     """
     m = lm.mnr
     children = m.tree.children_of()
-    _, _, attached = _subtree_node_counts(m)
+    vertex_count, node_count, attached = _subtree_node_counts(m)
 
-    vertex_labels: dict[int, set[int]] = {}
-
-    def collect(v: int) -> set[int]:
-        out = {lm.label_of((v, pos)) for pos in range(1, m.f_of(v) + 1)}
-        for c in children[v]:
-            out |= collect(c)
-        vertex_labels[v] = out
-        return out
-
-    collect(0)
-
-    node_labels: dict[tuple[int, int], set[int]] = {}
-    for node in m.nodes():
-        labs = {lm.label_of(node)}
-        for c in attached.get(node, ()):
-            labs |= vertex_labels[c]
-        node_labels[node] = labs
+    # The labels are a bijection onto [d], so a subtree's labels form an
+    # interval iff their span is exactly as wide as its node count.
+    low: dict[int, int] = {}
+    high: dict[int, int] = {}
+    for v in reversed(_top_down(children)):
+        labs = [lm.label_of((v, pos)) for pos in range(1, m.f_of(v) + 1)]
+        low[v] = min(labs + [low[c] for c in children[v]])
+        high[v] = max(labs + [high[c] for c in children[v]])
 
     vertex_ranges = {}
-    for v, labs in vertex_labels.items():
-        span = _as_interval(labs)
-        if span is None:
+    for v, count in vertex_count.items():
+        if high[v] - low[v] + 1 != count:
             return False, None
-        vertex_ranges[v] = span
+        vertex_ranges[v] = (low[v], high[v])
     node_ranges = {}
-    for node, labs in node_labels.items():
-        span = _as_interval(labs)
-        if span is None:
+    for node in m.nodes():
+        kids = attached.get(node, ())
+        label = lm.label_of(node)
+        lo = min([label] + [low[c] for c in kids])
+        hi = max([label] + [high[c] for c in kids])
+        if hi - lo + 1 != node_count[node]:
             return False, None
-        node_ranges[node] = span
+        node_ranges[node] = (lo, hi)
 
     verts = (0,) + m.tree.svertices
     for vertex in verts:

@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from math import comb, factorial
 
+from ._json import fields, integers, mapping
 from .bijection import phi, phi_labeled, psi, unique_labeling
 from .factorization import (
     CapExceededError,
@@ -71,7 +72,7 @@ def _emit(data: dict, stream) -> None:
 
 def _read_json(args) -> dict:
     text = open(args.input).read() if args.input else sys.stdin.read()
-    return json.loads(text)
+    return mapping(json.loads(text), "input")
 
 
 def _default_cap() -> int:
@@ -271,7 +272,8 @@ def cmd_prufer(args) -> int:
         tree = tree_from_json(data)
         _emit({"S": list(tree.svertices), "sequence": list(prufer_encode(tree))}, sys.stdout)
     else:
-        tree = prufer_decode(tuple(data["sequence"]), tuple(data["S"]))
+        seq, svertices = fields(data, "sequence", "S")
+        tree = prufer_decode(integers(seq, "sequence"), integers(svertices, "S"))
         _emit(tree_to_json(tree), sys.stdout)
     return 0
 

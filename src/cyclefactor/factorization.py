@@ -1,11 +1,18 @@
 """Factorizations of a d-cycle into cycle factors, and exact count formulas.
 
 The enumeration core walks tuples (sigma_1, ..., sigma_{r-1}) of cycles of
-prescribed lengths whose ordered product equals a fixed d-cycle tau.  The
-last factor is always solved for rather than searched, and branches whose
-remaining target is too far (in Cayley distance) from the identity to be
-bridged by the remaining cycle lengths are pruned; the prune is exact in
-genus 0 and conservative otherwise.
+prescribed lengths whose ordered product equals a fixed d-cycle tau, in
+lexicographic order of the factor sequences.  Two searches produce that
+stream:
+
+* genus 0 (``_walk_genus0``): each factor lies below the remaining target
+  in absolute order, so it is taken from the target's own cycles, read in
+  cycle order, and a branch is entered only if the remaining lengths pack
+  exactly onto the cycles it leaves; every branch yields.
+* positive genus (``_search``): every e-cycle of S_d is tried, the last
+  factor is solved for, and branches whose remaining target is too far (in
+  Cayley distance) from the identity for the remaining lengths are pruned.
+  It also serves as the genus-0 walker's oracle in ``verify`` and the tests.
 
 All counts are exact integers; Hurwitz numbers are exact rationals.
 """
@@ -18,6 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
+from ._json import array, fields, integer, integers
 from .perm import (
     Cycle,
     CycleType,
@@ -177,16 +185,86 @@ def _search(target, e, k, tables, budgets, out):
         out.pop()
 
 
-def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...]):
-    FactorizationType(d, e)  # validates lengths and genus
-    if tau.degree != d or tau.length != d:
-        raise ValueError(f"tau must be a {d}-cycle of degree {d}")
+def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...]):
+    """The `_search` stream for any genus; tau and e are already validated."""
     target = tau.to_permutation().images
     # remaining Cayley-distance budget before sigma_{k+1} is chosen
     budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
     by_length = {ei: _cycle_tables(d, ei) for ei in set(e[:-1])}
     tables = [by_length.get(ei) for ei in e]
-    yield from _search(target, tuple(e), 0, tables, budgets, [])
+    return _search(target, e, 0, tables, budgets, [])
+
+
+def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
+    """Whether the items (largest first) split into groups filling each bin exactly."""
+    if not items:
+        return True  # the bins' total always equals the items' total
+    first, rest = items[0], items[1:]
+    tried = set()
+    for i, room in enumerate(bins):
+        if room >= first and room not in tried:
+            tried.add(room)
+            if _packs(rest, bins[:i] + (room - first,) + bins[i + 1 :]):
+                return True
+    return False
+
+
+def _walk_genus0(cycles, e, k, items, fits, out):
+    """Yield factor-element tuples of a genus-0 type, sigma_{k+1} first.
+
+    ``cycles`` are the nontrivial cycles of the remaining target, each in
+    cycle order.  In genus 0, sigma_{k+1} lies below the target in absolute
+    order: its support is an e_k-subset of one target cycle, read in that
+    cycle's order, and sigma^{-1} * target cuts that cycle into e_k arcs,
+    each starting at a chosen element.  A child is entered only when the
+    remaining factors pack exactly onto its cycles, and any exact packing
+    completes, so every call yields at least once.
+    """
+    ek = e[k]
+    if k == len(e) - 1:
+        c = cycles[0]  # the only one: the parent checked
+        i = c.index(min(c))
+        yield (*out, c[i:] + c[:i])
+        return
+    candidates = []
+    for ci, c in enumerate(cycles):
+        n = len(c)
+        if n < ek:
+            continue
+        for p in range(n):
+            # the candidates whose minimum is c[p], read from there
+            r = c[p:] + c[:p]
+            m = r[0]
+            later = [j for j in range(1, n) if r[j] > m]
+            for rest in itertools.combinations(later, ek - 1):
+                cut = (0, *rest)
+                candidates.append((tuple(r[j] for j in cut), ci, r, cut))
+    candidates.sort()  # elements are distinct, so only they are compared
+    last = k + 1 == len(e) - 1
+    for elems, ci, r, cut in candidates:
+        arcs = [r[a:b] for a, b in zip(cut, cut[1:] + (len(r),)) if b - a > 1]
+        child = cycles[:ci] + arcs + cycles[ci + 1 :]
+        if last:
+            ok = len(child) == 1  # and so it is an e_{k+1}-cycle
+        else:
+            key = (tuple(sorted(len(c) - 1 for c in child)), k + 1)
+            ok = fits.get(key)
+            if ok is None:
+                ok = fits[key] = _packs(items[k + 1], key[0])
+        if ok:
+            yield from _walk_genus0(child, e, k + 1, items, fits, (*out, elems))
+
+
+def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...]):
+    e = tuple(e)
+    ftype = FactorizationType(d, e)  # validates lengths and genus
+    if tau.degree != d or tau.length != d:
+        raise ValueError(f"tau must be a {d}-cycle of degree {d}")
+    if ftype.genus == 0:
+        # the (e_i - 1) still to place before sigma_{k+1} is chosen, largest first
+        items = [tuple(sorted((ei - 1 for ei in e[k:]), reverse=True)) for k in range(len(e))]
+        return _walk_genus0([tau.elements], e, 0, items, {}, ())
+    return _cayley_stream(d, tau, e)
 
 
 def enumerate_factorizations(d: int, tau: Cycle, e) -> Iterator[Factorization]:
@@ -196,10 +274,12 @@ def enumerate_factorizations(d: int, tau: Cycle, e) -> Iterator[Factorization]:
     """
     e = tuple(e)
     ftype = FactorizationType(d, e)
+    stream = _stream_element_tuples(d, tau, e)
 
     def gen():
-        for elem_tuple in _stream_element_tuples(d, tau, e):
-            sigmas = tuple(Cycle(d, elems) for elems in elem_tuple)
+        # both searches emit distinct, min-first elements inside supp(tau)
+        for elem_tuple in stream:
+            sigmas = tuple(Cycle._unchecked(d, elems) for elems in elem_tuple)
             yield Factorization(ftype, tau, sigmas)
 
     return gen()
@@ -432,8 +512,9 @@ def factorization_to_json(f: Factorization) -> dict:
 
 
 def factorization_from_json(data: dict) -> Factorization:
-    degree = int(data["d"])
-    tau = Cycle(degree, tuple(data["tau"]))
-    sigmas = tuple(Cycle(degree, tuple(elems)) for elems in data["sigmas"])
+    degree, tau, sigmas = fields(data, "d", "tau", "sigmas")
+    degree = integer(degree, "d")
+    tau = Cycle(degree, integers(tau, "tau"))
+    sigmas = tuple(Cycle(degree, integers(s, "sigmas")) for s in array(sigmas, "sigmas"))
     ftype = FactorizationType(tau.length, tuple(s.length for s in sigmas))
     return Factorization(ftype, tau, sigmas)

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from ._json import fields, integer, integers, pairs
 from .factorization import Factorization, FactorizationType, validate
 from .perm import (
     Cycle,
@@ -381,12 +382,13 @@ def graph_to_json(g: FactorizationGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> FactorizationGraph:
-    d = int(data["d"])
+    d, svertices, edges, tau = fields(data, "d", "S", "edges", "tau")
+    d = integer(d, "d")
     return FactorizationGraph(
         d,
-        SVertexSet(tuple(sorted(data["S"]))),
-        frozenset((s, v) for s, v in data["edges"]),
-        Cycle(d, tuple(data["tau"])),
+        SVertexSet(tuple(sorted(integers(svertices, "S")))),
+        frozenset(pairs(edges, "edges")),
+        Cycle(d, integers(tau, "tau")),
     )
 
 

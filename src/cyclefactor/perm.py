@@ -97,6 +97,14 @@ class Cycle:
         i = elems.index(min(elems))
         object.__setattr__(self, "elements", elems[i:] + elems[:i])
 
+    @classmethod
+    def _unchecked(cls, degree: int, elements: tuple[int, ...]) -> Cycle:
+        """A cycle from elements known to be distinct, in range and min-first."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "degree", degree)
+        object.__setattr__(c, "elements", elements)
+        return c
+
     @property
     def length(self) -> int:
         return len(self.elements)

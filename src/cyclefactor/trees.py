@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from ._json import array, fields, integer, integers, mapping, pairs
+
 
 class TrivialTreeError(ValueError):
     """Raised when a codec is applied to the single-vertex tree."""
@@ -296,8 +298,9 @@ def tree_to_json(tree: RootedTree) -> dict:
 
 
 def tree_from_json(data: dict) -> RootedTree:
-    svertices = tuple(sorted(data["S"]))
-    parents = tuple((c, p) for p, c in data["edges"])
+    svertices, edges = fields(data, "S", "edges")
+    svertices = tuple(sorted(integers(svertices, "S")))
+    parents = tuple((c, p) for p, c in pairs(edges, "edges"))
     return RootedTree(svertices, parents)
 
 
@@ -311,11 +314,15 @@ def mnr_to_json(m: MultiNodedRootedTree) -> dict:
 
 
 def mnr_from_json(data: dict) -> MultiNodedRootedTree:
-    svertices = tuple(sorted(data["S"]))
-    parents = tuple((e["child"], e["parent"]) for e in data["edges"])
-    beta = tuple((e["child"], e["beta"]) for e in data["edges"])
-    tree = RootedTree(svertices, parents)
-    return MultiNodedRootedTree(tree, tuple(data["vertex_data"]), beta)
+    svertices, vertex_data, edges = fields(data, "S", "vertex_data", "edges")
+    svertices = tuple(sorted(integers(svertices, "S")))
+    parents, beta = [], []
+    for edge in array(edges, "edges"):
+        p, c, b = (integer(x, "edges") for x in fields(edge, "parent", "child", "beta"))
+        parents.append((c, p))
+        beta.append((c, b))
+    tree = RootedTree(svertices, tuple(parents))
+    return MultiNodedRootedTree(tree, integers(vertex_data, "vertex_data"), tuple(beta))
 
 
 def labeled_mnr_to_json(lm: LabeledMNR) -> dict:
@@ -326,10 +333,11 @@ def labeled_mnr_to_json(lm: LabeledMNR) -> dict:
 
 def labeled_mnr_from_json(data: dict) -> LabeledMNR:
     m = mnr_from_json(data)
+    (labels_in,) = fields(data, "labels")
     labels = []
-    for key, x in data["labels"].items():
+    for key, x in mapping(labels_in, "labels").items():
         v, p = key.strip("()").split(",")
-        labels.append(((int(v), int(p)), int(x)))
+        labels.append(((int(v), int(p)), integer(x, "labels")))
     return LabeledMNR(m, tuple(labels))
 
 
@@ -343,8 +351,9 @@ def matrix_to_json(h: PruferMatrix, svertices, vertex_data) -> dict:
 
 
 def matrix_from_json(data: dict) -> tuple[PruferMatrix, tuple[int, ...], tuple[int, ...]]:
-    h = PruferMatrix(tuple(data["top"]), tuple(data["bottom"]))
-    return h, tuple(data["S"]), tuple(data["vertex_data"])
+    top, bottom, svertices, vertex_data = fields(data, "top", "bottom", "S", "vertex_data")
+    h = PruferMatrix(integers(top, "top"), integers(bottom, "bottom"))
+    return h, integers(svertices, "S"), integers(vertex_data, "vertex_data")
 
 
 def mnr_to_dot(m: MultiNodedRootedTree, labels: dict | None = None) -> str:

@@ -16,6 +16,7 @@ from . import worked_example
 from .bijection import phi, phi_labeled, psi, unique_labeling
 from .factorization import (
     HurwitzDatum,
+    _cayley_stream,
     count_by_cycle_index,
     count_factorizations,
     enumerate_factorizations,
@@ -95,25 +96,37 @@ def partitions(total: int, largest: int | None = None):
             yield (first,) + rest
 
 
+def _cayley_count(d: int, e) -> int:
+    # the general Cayley-prune search, as an oracle for the genus-0 walker
+    return sum(1 for _ in _cayley_stream(d, standard_cycle(d), tuple(e)))
+
+
 def check_main_count(max_d: int) -> CheckResult:
-    """Brute-force counts equal d^(r-2) for every genus-0 type, d <= cap."""
+    """Both searches count d^(r-2) for every genus-0 type, d <= cap."""
     cases = 0
     for d in range(2, min(max_d, 6) + 1):
         for e in genus0_types(d):
             r = len(e) + 1
             brute = count_factorizations(d, e, "bruteforce")
-            if brute != d ** (r - 2):
+            cayley = _cayley_count(d, e)
+            if brute != d ** (r - 2) or cayley != brute:
                 return CheckResult(
-                    "main-count", False, f"d={d} e={e}: {brute} != {d ** (r - 2)}"
+                    "main-count",
+                    False,
+                    f"d={d} e={e}: walker {brute}, Cayley prune {cayley}, "
+                    f"expected {d ** (r - 2)}",
                 )
             if count_factorizations(d, e, "bijection") != brute:
                 return CheckResult("main-count", False, f"d={d} e={e}: bijection route")
             cases += 1
-    detail = f"{cases} genus-0 types, d <= {min(max_d, 6)}"
+    detail = f"{cases} genus-0 types by walker and Cayley prune, d <= {min(max_d, 6)}"
     if max_d >= 7:
         brute = count_factorizations(7, (2,) * 6, "bruteforce")
-        if brute != 7**5:
-            return CheckResult("main-count", False, f"d=7 transpositions: {brute}")
+        cayley = _cayley_count(7, (2,) * 6)
+        if brute != 7**5 or cayley != 7**5:
+            return CheckResult(
+                "main-count", False, f"d=7 transpositions: walker {brute}, Cayley prune {cayley}"
+            )
         detail += "; d=7 transpositions = 16807"
     return CheckResult("main-count", True, detail)
 

@@ -174,6 +174,18 @@ class TestUniqueLabeling:
                         assert is_factorization_graph(g)
                         assert phi(g) == m
 
+    def test_deep_chain_has_no_depth_limit(self):
+        # d - 1 single-node vertices, each hanging from the previous one
+        d = 5000
+        sv = tuple(range(d + 1, 2 * d))
+        parents = tuple(zip(sv, (0,) + sv[:-1]))
+        m = MultiNodedRootedTree(RootedTree(sv, parents), (1,) * d, tuple((s, 1) for s in sv))
+        lm, ranges = unique_labeling(m)
+        ok, witness = check_label_ranges(lm)
+        assert ok and witness.vertex_ranges == ranges.vertex_ranges
+        assert witness.node_ranges == ranges.node_ranges
+        assert ranges.vertex_ranges[sv[-1]] == (d, d)
+
     def test_rejects_multi_node_root(self):
         m = MultiNodedRootedTree(RootedTree((9,), ((9, 0),)), (2, 1), ((9, 1),))
         with pytest.raises(ValueError):

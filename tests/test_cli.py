@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from cyclefactor import worked_example as we
 from cyclefactor.cli import main
@@ -173,6 +174,19 @@ class TestConvert:
             stdin="not json", monkeypatch=monkeypatch,
         )
         assert code == 2 and err
+
+    @pytest.mark.parametrize(
+        "stdin",
+        ["[1,2]", '{"d":3,"tau":[1,2,3],"sigmas":[["a",2],[2,3]]}'],
+        ids=["top-level-array", "string-element"],
+    )
+    def test_malformed_json_shape(self, capsys, monkeypatch, stdin):
+        code, out, err = run(
+            capsys, "convert", "--direction", "fac2graph",
+            stdin=stdin, monkeypatch=monkeypatch,
+        )
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerify:

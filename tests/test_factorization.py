@@ -1,6 +1,7 @@
 """Factorization enumeration, validation, and the exact count formulas."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,46 @@ class TestEnumeration:
     def test_positive_genus_stream(self):
         fs = list(enumerate_factorizations(3, standard_cycle(3), (3, 3)))
         assert [tuple(str(s) for s in f.sigmas) for f in fs] == [("(1 3 2)", "(1 3 2)")]
+
+    def test_genus0_walker_matches_cayley_search(self):
+        # oracle: the Cayley-prune search, which tries every e-cycle of S_d
+        from cyclefactor.factorization import _cayley_stream, _stream_element_tuples
+
+        rng = random.Random(3)
+        for d in range(2, 8):
+            rest = list(range(2, d + 1))
+            rng.shuffle(rest)
+            for tau in (standard_cycle(d), Cycle(d, (1, *rest))):
+                for e in genus0_types(d):
+                    expected = list(_cayley_stream(d, tau, e))
+                    assert list(_stream_element_tuples(d, tau, e)) == expected
+
+    def test_emitted_factors_equal_validated_cycles(self):
+        for d in range(2, 7):
+            for e in genus0_types(d):
+                for f in enumerate_factorizations(d, standard_cycle(d), e):
+                    for s in f.sigmas:
+                        assert s == Cycle(d, s.elements)
+
+    def test_genus0_walker_nodes_per_output(self, monkeypatch):
+        from cyclefactor import factorization
+
+        walk = factorization._walk_genus0
+        for d in range(2, 9):
+            for e in genus0_types(d):
+                calls = 0
+
+                def counted(*args):
+                    nonlocal calls
+                    calls += 1
+                    return walk(*args)
+
+                monkeypatch.setattr(factorization, "_walk_genus0", counted)
+                outputs = sum(
+                    1 for _ in factorization._stream_element_tuples(d, standard_cycle(d), e)
+                )
+                assert outputs == d ** (len(e) - 1)
+                assert calls <= 3 * outputs, (d, e, calls, outputs)
 
     def test_invalid_type_errors_before_streaming(self):
         with pytest.raises(ValueError):
