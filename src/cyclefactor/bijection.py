@@ -32,21 +32,6 @@ class LabelRanges:
     vertex_ranges: dict[int, tuple[int, int]]
 
 
-def _rooted_orientation(g: FactorizationGraph) -> dict[int, int]:
-    """Parent of every vertex when the tree is rooted at the [d]-vertex 1."""
-    sset = set(g.svertices)
-    parent = {1: 0}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        nbrs = g.neighbors_of_s(x) if x in sset else g.neighbors_of_v(x)
-        for y in nbrs:
-            if y not in parent:
-                parent[y] = x
-                frontier.append(y)
-    return parent
-
-
 def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
     """Fold a factorization graph into a labeled multi-noded rooted tree.
 
@@ -60,7 +45,7 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
     if g.tau != standard_cycle(g.d):
         g = standardize_graph(g)[0]
 
-    parent = _rooted_orientation(g)
+    parent = g._walk(1)  # rooted at the [d]-vertex 1
     svalues = tuple(g.svertices)
 
     children: dict[int, tuple[int, ...]] = {}

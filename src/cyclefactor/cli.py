@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._json import fields, integers, mapping
-from .bijection import phi, phi_labeled, psi, unique_labeling
+from .bijection import phi_labeled, psi, unique_labeling
 from .factorization import (
     CapExceededError,
     count_by_cycle_index,
@@ -25,7 +25,9 @@ from .factorization import (
     standardize,
 )
 from .graph import (
+    FactorizationGraph,
     characterization_failure,
+    default_svertices,
     factorization_of,
     graph_from_json,
     graph_of,
@@ -34,6 +36,8 @@ from .graph import (
 )
 from .perm import standard_cycle
 from .trees import (
+    MultiNodedRootedTree,
+    RootedTree,
     enumerate_mnr,
     labeled_mnr_from_json,
     labeled_mnr_to_json,
@@ -71,7 +75,11 @@ def _emit(data: dict, stream) -> None:
 
 
 def _read_json(args) -> dict:
-    text = open(args.input).read() if args.input else sys.stdin.read()
+    if args.input:
+        with open(args.input) as handle:
+            text = handle.read()
+    else:
+        text = sys.stdin.read()
     return mapping(json.loads(text), "input")
 
 
@@ -152,12 +160,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _labeled_from(data: dict):
-    if "labels" in data:
-        return labeled_mnr_from_json(data)
-    return unique_labeling(mnr_from_json(data))[0]
-
-
 def _psi_checked(lm):
     g = psi(lm)
     failure = characterization_failure(g)
@@ -166,60 +168,93 @@ def _psi_checked(lm):
     return g
 
 
-def _convert(direction: str, data: dict) -> dict:
-    if direction == "fac2graph":
-        return graph_to_json(graph_of(factorization_from_json(data)))
-    if direction == "graph2fac":
-        return factorization_to_json(factorization_of(graph_from_json(data)))
-    if direction == "graph2mnr":
-        return labeled_mnr_to_json(phi_labeled(graph_from_json(data)))
-    if direction == "mnr2graph":
-        return graph_to_json(_psi_checked(_labeled_from(data)))
-    if direction == "fac2mnr":
-        f, relabel = standardize(factorization_from_json(data))
-        out = mnr_to_json(phi(graph_of(f)))
-        if any(k != v for k, v in relabel.items()):
-            out["relabeling"] = {str(k): v for k, v in sorted(relabel.items())}
-        return out
-    if direction == "mnr2fac":
-        return factorization_to_json(factorization_of(_psi_checked(_labeled_from(data))))
-    if direction == "mnr2prufer":
-        m = mnr_from_json(data)
-        return matrix_to_json(mnr_encode(m), m.tree.svertices, m.vertex_data)
-    if direction == "prufer2mnr":
-        h, svertices, vd = matrix_from_json(data)
-        return mnr_to_json(mnr_decode(h, svertices, vd))
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-_INVERSE_DIRECTION = {
-    "fac2graph": "graph2fac",
-    "graph2fac": "fac2graph",
-    "graph2mnr": "mnr2graph",
-    "mnr2graph": "graph2mnr",
-    "fac2mnr": "mnr2fac",
-    "mnr2fac": "fac2mnr",
-    "mnr2prufer": "prufer2mnr",
-    "prufer2mnr": "mnr2prufer",
+# The kinds along the chain, and between each neighbouring pair its arrow
+# (forward, backward).  A tree is labeled next to the graph and bare next to
+# the codec.
+_CHAIN = ("fac", "graph", "labeled", "mnr", "prufer")
+_ARROWS = (
+    (graph_of, factorization_of),
+    (phi_labeled, _psi_checked),
+    (lambda lm: lm.mnr, lambda m: unique_labeling(m)[0]),
+    (lambda m: (mnr_encode(m), m.tree.svertices, m.vertex_data), lambda hsv: mnr_decode(*hsv)),
+)
+# (read, write) of each kind's JSON form
+_KINDS = {
+    "fac": (factorization_from_json, factorization_to_json),
+    "graph": (graph_from_json, graph_to_json),
+    "labeled": (labeled_mnr_from_json, labeled_mnr_to_json),
+    "mnr": (mnr_from_json, mnr_to_json),
+    "prufer": (matrix_from_json, lambda hsv: matrix_to_json(*hsv)),
 }
+# (source kind, target kind) of every direction.  fac2mnr prints the bare tree,
+# and mnr2prufer reads one, so a tree with a multi-node root encodes.
+_DIRECTIONS = {
+    "fac2graph": ("fac", "graph"),
+    "graph2fac": ("graph", "fac"),
+    "graph2mnr": ("graph", "labeled"),
+    "mnr2graph": ("labeled", "graph"),
+    "fac2mnr": ("fac", "mnr"),
+    "mnr2fac": ("labeled", "fac"),
+    "mnr2prufer": ("mnr", "prufer"),
+    "prufer2mnr": ("prufer", "mnr"),
+}
+_INVERSE_DIRECTION = {name: "2".join(reversed(name.split("2"))) for name in _DIRECTIONS}
+
+
+def _arrows(source: str, target: str) -> list:
+    i, j = _CHAIN.index(source), _CHAIN.index(target)
+    if i < j:
+        return [forward for forward, _ in _ARROWS[i:j]]
+    return [backward for _, backward in reversed(_ARROWS[j:i])]
+
+
+def _read(kind: str, data: dict):
+    """The JSON data as a value of the kind; a tree without labels gets its unique labeling."""
+    start = "mnr" if kind == "labeled" and "labels" not in data else kind
+    value = _KINDS[start][0](data)
+    for arrow in _arrows(start, kind):
+        value = arrow(value)
+    return value
+
+
+def _convert(direction: str, data: dict) -> dict:
+    source, target = _DIRECTIONS[direction]
+    value = _read(source, data)
+    if direction == "fac2mnr":
+        value, relabel = standardize(value)
+    for arrow in _arrows(source, target):
+        value = arrow(value)
+    out = _KINDS[target][1](value)
+    if direction == "fac2mnr" and any(k != v for k, v in relabel.items()):
+        out["relabeling"] = {str(k): v for k, v in sorted(relabel.items())}
+    return out
+
+
+def _default_s(value):
+    """A graph or bare tree with its j-th S-vertex renamed d + j, as graph_of names it."""
+    if isinstance(value, FactorizationGraph):
+        svertices = default_svertices(value.d, len(value.svertices))
+        name = dict(zip(value.svertices, svertices))
+        edges = frozenset((name[s], v) for s, v in value.edges)
+        return FactorizationGraph(value.d, svertices, edges, value.tau)
+    d, svertices = value.total_nodes, value.tree.svertices
+    name = {0: 0, **{s: d + j for j, s in enumerate(svertices, start=1)}}
+    tree = RootedTree(
+        tuple(name[s] for s in svertices),
+        tuple((name[c], name[p]) for c, p in value.tree.parents),
+    )
+    return MultiNodedRootedTree(tree, value.vertex_data, tuple((name[c], b) for c, b in value.beta))
 
 
 def _roundtrip_reference(direction: str, data: dict) -> dict:
     """The canonical form the inverse conversion must land back on."""
-    if direction == "fac2graph":
-        return factorization_to_json(factorization_from_json(data))
-    if direction in ("graph2fac", "graph2mnr"):
-        return graph_to_json(graph_from_json(data))
-    if direction == "mnr2graph":
-        return labeled_mnr_to_json(_labeled_from(data))
+    kind = _DIRECTIONS[_INVERSE_DIRECTION[direction]][1]
+    value = _read(kind, data)
     if direction == "fac2mnr":
-        f, _ = standardize(factorization_from_json(data))
-        return factorization_to_json(f)
-    if direction in ("mnr2fac", "mnr2prufer"):
-        return mnr_to_json(mnr_from_json(data))
-    if direction == "prufer2mnr":
-        return matrix_to_json(*matrix_from_json(data))
-    raise ValueError(f"unknown direction {direction!r}")
+        value = standardize(value)[0]
+    if _DIRECTIONS[direction][1] == "fac":  # a factorization carries no S
+        value = _default_s(value)
+    return _KINDS[kind][1](value)
 
 
 def cmd_convert(args) -> int:
@@ -304,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="map an object across the bijections")
-    p.add_argument("--direction", required=True, choices=sorted(_INVERSE_DIRECTION))
+    p.add_argument("--direction", required=True, choices=sorted(_DIRECTIONS))
     p.add_argument("--roundtrip", action="store_true", help="convert back and compare")
     p.add_argument("--input", help="read JSON from a file instead of stdin")
     p.set_defaults(func=cmd_convert)

@@ -1,6 +1,6 @@
 """Factorizations of a d-cycle into cycle factors, and exact count formulas.
 
-The enumeration core walks tuples (sigma_1, ..., sigma_{r-1}) of cycles of
+The enumeration walks tuples (sigma_1, ..., sigma_{r-1}) of cycles of
 prescribed lengths whose ordered product equals a fixed d-cycle tau, in
 lexicographic order of the factor sequences.  Two searches produce that
 stream:
@@ -9,11 +9,15 @@ stream:
   in absolute order, so it is taken from the target's own cycles, read in
   cycle order, and a branch is entered only if the remaining lengths pack
   exactly onto the cycles it leaves; every branch yields.
-* positive genus (``_search``): every e-cycle of S_d is tried, the last
-  factor is solved for, and branches whose remaining target is too far (in
-  Cayley distance) from the identity for the remaining lengths are pruned.
-  It also serves as the genus-0 walker's oracle in ``verify`` and the tests.
+* every genus (``_search``, the one search core): each factor is taken
+  from a table of candidates, the last factor is solved for, and branches
+  whose remaining target is too far (in Cayley distance) from the identity
+  for the remaining lengths are pruned.  It runs the positive-genus stream,
+  the brute-force Hurwitz count (tables of whole conjugacy classes, a leaf
+  test for the last type and transitivity), and serves as the genus-0
+  walker's oracle in ``verify`` and the tests.
 
+Both read cycles through the one cycle walker, ``perm.cycles_of``.
 All counts are exact integers; Hurwitz numbers are exact rationals.
 """
 
@@ -30,7 +34,7 @@ from .perm import (
     Cycle,
     CycleType,
     Permutation,
-    cycle_type,
+    cycles_of,
     index,
     product,
     pure_cycle_type,
@@ -116,73 +120,62 @@ def validate(f: Factorization) -> bool:
     return prod == f.tau.to_permutation()
 
 
-def _cycles_of_length(d: int, e: int) -> list[tuple[int, ...]]:
-    """All e-cycle element tuples in canonical form, lexicographically sorted."""
-    out = []
+def _cycle_tables(d: int, e: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(canonical elements, inverse images) of every e-cycle, in lexicographic order.
+
+    Image arrays are 0-indexed with 1-based values, so composition is a
+    single lookup chain.
+    """
+    tables = []
     for first in range(1, d + 1):
         for rest in itertools.permutations(range(first + 1, d + 1), e - 1):
-            out.append((first,) + rest)
-    return out
-
-
-def _cycle_tables(d: int, e: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # (canonical elements, inverse image array) per e-cycle; arrays are
-    # 0-indexed with 1-based values so composition is a single lookup chain.
-    tables = []
-    for elems in _cycles_of_length(d, e):
-        inv = list(range(1, d + 1))
-        for i, x in enumerate(elems):
-            inv[x - 1] = elems[i - 1]
-        tables.append((elems, tuple(inv)))
+            elems = (first, *rest)
+            inv = list(range(1, d + 1))
+            for i, x in enumerate(elems):
+                inv[x - 1] = elems[i - 1]
+            tables.append((elems, tuple(inv)))
     return tables
 
 
-def _cycle_count(imgs) -> int:
-    seen = [False] * len(imgs)
-    count = 0
-    for start in range(len(imgs)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = imgs[x] - 1
-    return count
+def _single_cycle(length: int):
+    """A leaf test: the moved points in cycle order, if the target is one `length`-cycle."""
+
+    def leaf(imgs, _):
+        moved = [x for x, y in enumerate(imgs, 1) if x != y]
+        if len(moved) != length:
+            return None
+        (elems,) = cycles_of(imgs, moved[:1])
+        return elems if len(elems) == length else None
+
+    return leaf
 
 
-def _as_single_cycle(imgs, length: int) -> tuple[int, ...] | None:
-    """The moved points of imgs in cycle order, if imgs is one `length`-cycle."""
-    moved = [i + 1 for i, y in enumerate(imgs) if y != i + 1]
-    if len(moved) != length:
-        return None
-    start = moved[0]
-    elems = [start]
-    x = imgs[start - 1]
-    while x != start:
-        elems.append(x)
-        x = imgs[x - 1]
-    if len(elems) != length:
-        return None
-    return tuple(elems)
+def _search(target, tables, budgets, leaf, out=()):
+    """Depth-first search over one factor per table, the last factor solved.
 
-
-def _search(target, e, k, tables, budgets, out):
-    """Yield factor-element tuples; `target` is what sigma_{k+1}.. must multiply to."""
-    d = len(target)
-    if k == len(e) - 1:
-        elems = _as_single_cycle(target, e[k])
-        if elems is not None:
-            yield tuple(out) + (elems,)
+    ``target`` is what the factors still to choose must multiply to;
+    ``tables[k]`` lists (key, inverse images) for the (k+1)-th factor, and
+    choosing it turns the target into sigma^{-1} * target.  A branch is cut
+    when the target is further from the identity, in Cayley distance, than
+    ``budgets[k]``, the index the remaining factors can add up to.  After the
+    last table, ``leaf(target, keys)`` returns the solved last entry or None;
+    the search yields (*keys, entry) for every entry that is not None.
+    """
+    k = len(out)
+    if k == len(tables):
+        hit = leaf(target, out)
+        if hit is not None:
+            yield (*out, hit)
         return
-    if d - _cycle_count(target) > budgets[k]:
+    if len(target) - len(cycles_of(target)) > budgets[k]:
         return
-    for elems, inv in tables[k]:
-        # next target = sigma^{-1} * target
-        new_target = tuple(inv[y - 1] for y in target)
-        out.append(elems)
-        yield from _search(new_target, e, k + 1, tables, budgets, out)
-        out.pop()
+    deeper = k + 1 < len(tables)
+    for key, inv in tables[k]:
+        child = tuple(inv[y - 1] for y in target)
+        if deeper:
+            yield from _search(child, tables, budgets, leaf, (*out, key))
+        elif (hit := leaf(child, (*out, key))) is not None:
+            yield (*out, key, hit)  # tested here: a generator per leaf would cost more
 
 
 def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...]):
@@ -191,8 +184,7 @@ def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...]):
     # remaining Cayley-distance budget before sigma_{k+1} is chosen
     budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
     by_length = {ei: _cycle_tables(d, ei) for ei in set(e[:-1])}
-    tables = [by_length.get(ei) for ei in e]
-    return _search(target, e, 0, tables, budgets, [])
+    return _search(target, [by_length[ei] for ei in e[:-1]], budgets, _single_cycle(e[-1]))
 
 
 def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
@@ -394,59 +386,26 @@ def hurwitz_count_bruteforce(h: HurwitzDatum, max_degree: int = 6) -> Fraction:
             f"degree {d} exceeds the brute-force cap {max_degree}; "
             "pass max_degree explicitly to override"
         )
-    by_type: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def type_of(imgs) -> tuple[int, ...]:
+        return tuple(sorted(map(len, cycles_of(imgs)), reverse=True))
+
+    by_type: dict[tuple[int, ...], list] = {}
     for images in itertools.permutations(range(1, d + 1)):
-        p = Permutation(d, images)
-        by_type.setdefault(cycle_type(p).partition, []).append(images)
-
-    def with_inverses(members):
-        pairs = []
-        for imgs in members:
-            inv = [0] * d
-            for i, y in enumerate(imgs):
-                inv[y - 1] = i + 1
-            pairs.append((imgs, tuple(inv)))
-        return pairs
-
-    classes = [with_inverses(by_type.get(t.partition, [])) for t in h.lambdas[:-1]]
+        by_type.setdefault(type_of(images), []).append(
+            (images, Permutation(d, images).inverse().images)
+        )
+    tables = [by_type.get(t.partition, []) for t in h.lambdas[:-1]]
     last_type = h.lambdas[-1].partition
     # remaining index budget before sigma_{k+1} is chosen
     budgets = [sum(index(t) for t in h.lambdas[k:]) for k in range(h.r)]
-    identity = tuple(range(1, d + 1))
-    count = 0
-    stack: list[tuple[int, ...]] = []
 
-    def type_of(imgs) -> tuple[int, ...]:
-        lengths = []
-        seen = [False] * d
-        for start in range(d):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                length += 1
-                x = imgs[x] - 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
+    def leaf(target, factors):
+        if type_of(target) == last_type and _transitive(factors + (target,), d):
+            return target
+        return None
 
-    def rec(target, k):
-        # target is what sigma_{k+1} ... sigma_r must multiply to
-        nonlocal count
-        if k == h.r - 1:
-            if type_of(target) == last_type and _transitive(stack + [target], d):
-                count += 1
-            return
-        if d - _cycle_count(target) > budgets[k]:
-            return
-        for imgs, inv in classes[k]:
-            new_target = tuple(inv[y - 1] for y in target)
-            stack.append(imgs)
-            rec(new_target, k + 1)
-            stack.pop()
-
-    rec(identity, 0)
+    count = sum(1 for _ in _search(tuple(range(1, d + 1)), tables, budgets, leaf))
     return Fraction(count, factorial(d))
 
 

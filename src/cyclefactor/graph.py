@@ -105,21 +105,20 @@ class FactorizationGraph:
     def circle(self) -> CircleOrder:
         return CircleOrder(self.tau)
 
-    def is_connected(self) -> bool:
-        vertices = set(self.svertices) | self.tau.support
-        if not vertices:
-            return True
-        start = next(iter(vertices))
-        seen = {start}
+    def _walk(self, start: int, removed: int | None = None) -> dict[int, int]:
+        """Parent of every vertex reached from ``start`` (mapped to 0), avoiding ``removed``."""
+        parent = {start: 0}
         frontier = [start]
         while frontier:
             x = frontier.pop()
-            nbrs = self._s_adj.get(x) if x in self._s_adj else self._v_adj.get(x)
-            for y in nbrs:
-                if y not in seen:
-                    seen.add(y)
+            for y in self._s_adj[x] if x in self._s_adj else self._v_adj[x]:
+                if y != removed and y not in parent:
+                    parent[y] = x
                     frontier.append(y)
-        return seen == vertices
+        return parent
+
+    def is_connected(self) -> bool:
+        return len(self._walk(self.tau.elements[0])) == len(self.svertices) + self.tau.length
 
     def is_tree(self) -> bool:
         n_vertices = len(self.svertices) + self.tau.length
@@ -127,25 +126,15 @@ class FactorizationGraph:
 
     def components_without(self, removed: int) -> list[tuple[frozenset[int], frozenset[int]]]:
         """(S-vertices, [d]-vertices) of each component after deleting a vertex."""
-        vertices = (set(self.svertices) | self.tau.support) - {removed}
         comps = []
-        seen: set[int] = set()
-        for start in sorted(vertices):
+        seen = {removed}
+        for start in sorted(set(self.svertices) | self.tau.support):
             if start in seen:
                 continue
-            comp = {start}
-            frontier = [start]
-            seen.add(start)
-            while frontier:
-                x = frontier.pop()
-                nbrs = self._s_adj.get(x) if x in self._s_adj else self._v_adj.get(x)
-                for y in nbrs:
-                    if y != removed and y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        frontier.append(y)
+            comp = self._walk(start, removed)
+            seen.update(comp)
             sset = frozenset(x for x in comp if x in self._s_adj)
-            comps.append((sset, frozenset(comp - sset)))
+            comps.append((sset, frozenset(comp.keys() - sset)))
         return comps
 
 

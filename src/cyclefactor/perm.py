@@ -177,6 +177,33 @@ def product(perms, degree: int) -> Permutation:
     return result
 
 
+def cycles_of(images, points=None) -> list[tuple[int, ...]]:
+    """The cycles of x -> images[x-1] through ``points`` (default: every point).
+
+    Each cycle is listed once, read from the first of ``points`` on it.  That
+    is its least point when ``points`` run in increasing order and hold the
+    least point of every cycle they meet, as the default does, so each tuple
+    is then a canonical ``Cycle`` element sequence.
+
+    >>> cycles_of((3, 4, 1, 2, 5))
+    [(1, 3), (2, 4), (5,)]
+    """
+    seen = [False] * (len(images) + 1)
+    cycles = []
+    for start in range(1, len(images) + 1) if points is None else points:
+        if seen[start]:
+            continue
+        seen[start] = True
+        cycle = [start]
+        x = images[start - 1]
+        while x != start:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x - 1]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def cycle_decomposition(p: Permutation) -> list[Cycle]:
     """Disjoint cycles of p, fixed points included as 1-cycles.
 
@@ -186,19 +213,7 @@ def cycle_decomposition(p: Permutation) -> list[Cycle]:
     >>> [str(c) for c in cycle_decomposition(Permutation.from_cycles(5, [(1, 3), (2, 4)]))]
     ['(1 3)', '(2 4)', '(5)']
     """
-    cycles = []
-    seen = [False] * p.degree
-    for start in range(1, p.degree + 1):
-        if seen[start - 1]:
-            continue
-        elems = []
-        x = start
-        while not seen[x - 1]:
-            seen[x - 1] = True
-            elems.append(x)
-            x = p.images[x - 1]
-        cycles.append(Cycle(p.degree, tuple(elems)))
-    return cycles
+    return [Cycle._unchecked(p.degree, c) for c in cycles_of(p.images)]
 
 
 def cycle_type(p: Permutation) -> CycleType:
@@ -320,17 +335,10 @@ def split_circle_product(mu: Cycle, eta: Cycle) -> list[Cycle] | NotMaximal:
     # Cycle count of mu*eta on supp(mu), without building permutation objects.
     mu_next = {x: mu.elements[(i + 1) % mu.length] for i, x in enumerate(mu.elements)}
     eta_next = {x: eta.elements[(i + 1) % eta.length] for i, x in enumerate(eta.elements)}
-    prod = {x: mu_next[eta_next.get(x, x)] for x in mu.elements}
-    seen: set[int] = set()
-    s = 0
-    for start in mu.elements:
-        if start in seen:
-            continue
-        s += 1
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = prod[x]
+    prod = list(range(1, mu.degree + 1))
+    for x in mu.elements:
+        prod[x - 1] = mu_next[eta_next.get(x, x)]
+    s = len(cycles_of(prod, mu.elements))
     if s != p:
         return NotMaximal(s)
 
@@ -344,10 +352,6 @@ def split_circle_product(mu: Cycle, eta: Cycle) -> list[Cycle] | NotMaximal:
         pieces.append(Cycle(mu.degree, elems))
     ordered = pieces[1:] + pieces[:1] if p > 1 else pieces
     return ordered
-
-
-def format_cycle(c: Cycle) -> str:
-    return str(c)
 
 
 def format_permutation(p: Permutation) -> str:

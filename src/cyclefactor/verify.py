@@ -187,10 +187,15 @@ def check_cross_formulas(max_d: int) -> CheckResult:
     return CheckResult("cross-formulas", True, f"4pt/simple/index up to d={min(max_d, 6)}")
 
 
-def check_prufer(seed: int) -> CheckResult:
-    """Codec bijectivity: stream sizes match the cardinality formula exactly."""
+def check_prufer(seed: int, max_d: int = 6) -> CheckResult:
+    """Codec bijectivity: stream sizes match the cardinality formula exactly.
+
+    The exhaustive sweep covers vertex data summing to at most
+    min(max_d + 1, 7): a degree-d factorization's tree has d + 1 nodes.
+    """
     cases = 0
-    for total in range(2, 8):
+    top = min(max_d + 1, 7)
+    for total in range(2, top + 1):
         for vd in compositions(total):
             if len(vd) < 2:
                 continue
@@ -210,7 +215,9 @@ def check_prufer(seed: int) -> CheckResult:
             tree = prufer_decode(seq, svertices)
             if prufer_encode(tree) != seq:
                 return CheckResult("prufer-bijectivity", False, f"random seq {seq}")
-    return CheckResult("prufer-bijectivity", True, f"{cases} trees, plus random |S| <= 12")
+    return CheckResult(
+        "prufer-bijectivity", True, f"{cases} trees, node total <= {top}, plus random |S| <= 12"
+    )
 
 
 def check_bijection_pipeline(max_d: int) -> CheckResult:
@@ -409,7 +416,7 @@ def run_checks(max_d: int = 6, seed: int = 0, only: str | None = None) -> list[C
         ("transpositions", lambda: check_transpositions(max_d)),
         ("hurwitz-identity", lambda: check_hurwitz_identity(max_d)),
         ("cross-formulas", lambda: check_cross_formulas(max_d)),
-        ("prufer-bijectivity", lambda: check_prufer(seed)),
+        ("prufer-bijectivity", lambda: check_prufer(seed, max_d)),
         ("bijection-pipeline", lambda: check_bijection_pipeline(max_d)),
         ("characterization", lambda: check_characterization(max_d)),
         ("golden-files", lambda: check_golden()),

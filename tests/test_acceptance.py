@@ -41,7 +41,9 @@ def test_criterion_3_cross_formulas():
 
 def test_criterion_4_prufer_bijectivity():
     # stream length == (sum f)^(n-1) f_0 and decode inverts encode, sum f <= 7
-    report("prufer bijectivity", V.check_prufer(seed=0))
+    result = V.check_prufer(seed=0)
+    report("prufer bijectivity", result)
+    assert result.detail.startswith("46420 trees, node total <= 7")
 
 
 def test_criterion_5_bijection_pipeline():

@@ -1,11 +1,38 @@
 """The command-line surface: flags, formats, exit codes."""
 
+import gc
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
 from cyclefactor import worked_example as we
 from cyclefactor.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# (direction, input fixture, fixture its output must equal byte for byte)
+PINNED = [
+    ("fac2graph", "factorization", "graph"),
+    ("graph2fac", "graph", "factorization"),
+    ("graph2mnr", "graph", "labeled_mnr"),
+    ("mnr2graph", "mnr", "graph"),
+    ("mnr2graph", "labeled_mnr", "graph"),
+    ("fac2mnr", "factorization", "mnr"),
+    ("mnr2fac", "mnr", "factorization"),
+    ("mnr2fac", "labeled_mnr", "factorization"),
+    ("mnr2prufer", "mnr", "matrix"),
+    ("mnr2prufer", "labeled_mnr", "matrix"),
+    ("prufer2mnr", "matrix", "mnr"),
+]
+
+# A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
+GRAPH_OWN_S = '{"d":3,"S":[10,20],"edges":[[10,1],[10,2],[20,2],[20,3]],"tau":[1,2,3]}'
+TREE_OWN_S = (
+    '{"S":[10,20],"vertex_data":[1,1,1],"edges":[{"parent":0,"child":10,"beta":1},'
+    '{"parent":10,"child":20,"beta":1}]}'
+)
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -99,6 +126,59 @@ class TestEnumerate:
 
 
 class TestConvert:
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize(
+        "direction,source,expected", PINNED, ids=[f"{d}-{s}" for d, s, _ in PINNED]
+    )
+    def test_every_direction_on_fixtures(self, capsys, direction, source, expected, roundtrip):
+        argv = ["convert", "--direction", direction, "--input", str(FIXTURES / f"{source}.json")]
+        code, out, err = run(capsys, *argv, *(["--roundtrip"] if roundtrip else []))
+        assert (code, out, err) == (0, (FIXTURES / f"{expected}.json").read_text(), "")
+
+    @pytest.mark.parametrize(
+        "direction,stdin,expected",
+        [
+            ("graph2fac", GRAPH_OWN_S, '{"d":3,"tau":[1,2,3],"sigmas":[[1,2],[2,3]]}'),
+            ("mnr2fac", TREE_OWN_S, '{"d":3,"tau":[1,2,3],"sigmas":[[1,2],[2,3]]}'),
+            ("mnr2graph", TREE_OWN_S, GRAPH_OWN_S),
+            ("graph2mnr", GRAPH_OWN_S, TREE_OWN_S[:-1] + ',"labels":{"(0,1)":1,"(10,1)":2,"(20,1)":3}}'),
+            (
+                "fac2mnr",
+                '{"d":3,"tau":[1,3,2],"sigmas":[[1,3,2]]}',
+                '{"S":[4],"vertex_data":[1,2],"edges":[{"parent":0,"child":4,"beta":1}],'
+                '"relabeling":{"1":1,"2":3,"3":2}}',
+            ),
+            (
+                "mnr2prufer",
+                '{"S":[3],"vertex_data":[2,1],"edges":[{"parent":0,"child":3,"beta":2}]}',
+                '{"S":[3],"vertex_data":[2,1],"top":[0],"bottom":[2]}',
+            ),
+        ],
+        ids=["graph-own-s", "tree-own-s", "tree-keeps-s", "graph-keeps-s",
+             "nonstandard-tau", "multi-node-root"],
+    )
+    def test_roundtrip_edge_cases(self, capsys, monkeypatch, direction, stdin, expected):
+        # A factorization carries no S, so the way back through one names S as
+        # graph_of does, and the comparison allows for that; a round trip that
+        # avoids factorizations keeps S.  fac2mnr relabels tau, and mnr2prufer
+        # reads the bare tree, so a multi-node root encodes.
+        code, out, err = run(
+            capsys, "convert", "--direction", direction, "--roundtrip",
+            stdin=stdin, monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    def test_input_file_is_closed(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(
+                capsys, "convert", "--direction", "fac2graph",
+                "--input", str(FIXTURES / "factorization.json"),
+            )
+            gc.collect()
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_fac2graph_golden(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, "convert", "--direction", "fac2graph", "--roundtrip",
@@ -195,6 +275,10 @@ class TestVerify:
         assert code == 0
         assert "11/11 checks passed" in out
         assert "FAIL" not in out
+
+    def test_prufer_sweep_follows_max_d(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-d", "3", "--only", "prufer")
+        assert code == 0 and "node total <= 4" in out
 
     def test_only_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "3", "--only", "golden")

@@ -108,7 +108,7 @@ class TestEnumeration:
         # run the search with each position's candidate table narrowed to the
         # worked factor: the prune and the solved last factor must still let
         # the tuple through, which is exactly the stream's yield condition.
-        from cyclefactor.factorization import _search
+        from cyclefactor.factorization import _search, _single_cycle
 
         target = worked_factorization()
         e = target.ftype.e
@@ -119,7 +119,8 @@ class TestEnumeration:
                 inv[x - 1] = sigma.elements[i - 1]
             tables.append([(sigma.elements, tuple(inv))])
         budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
-        got = list(_search(standard_cycle(20).to_permutation().images, e, 0, tables, budgets, []))
+        start = standard_cycle(20).to_permutation().images
+        got = list(_search(start, tables, budgets, _single_cycle(e[-1])))
         assert got == [tuple(s.elements for s in target.sigmas)]
 
     def test_stream_validates_and_is_duplicate_free(self):
