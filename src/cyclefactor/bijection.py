@@ -185,9 +185,12 @@ def check_label_ranges(lm: LabeledMNR) -> tuple[bool, LabelRanges | None]:
     vertex's node intervals run left to right, and around each node the
     attached vertices with smaller values stack below the node's label
     (nearest first), the others above it (largest nearest).  Returns the
-    witness intervals when they exist.
+    witness intervals when they exist.  A multi-noded root never passes:
+    its unfolding has too few edges to be a tree.
     """
     m = lm.mnr
+    if m.vertex_data[0] != 1:
+        return False, None
     children = m.tree.children_of()
     vertex_count, node_count, attached = _subtree_node_counts(m)
 

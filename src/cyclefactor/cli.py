@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._json import fields, integers, mapping
-from .bijection import phi_labeled, psi, unique_labeling
+from .bijection import phi_labeled, psi, standardize_graph, unique_labeling
 from .factorization import (
     CapExceededError,
     count_by_cycle_index,
@@ -26,7 +26,6 @@ from .factorization import (
 )
 from .graph import (
     FactorizationGraph,
-    characterization_failure,
     default_svertices,
     factorization_of,
     graph_from_json,
@@ -160,21 +159,13 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _psi_checked(lm):
-    g = psi(lm)
-    failure = characterization_failure(g)
-    if failure is not None:
-        raise ValueError(f"labeling does not unfold to a factorization graph: {failure}")
-    return g
-
-
 # The kinds along the chain, and between each neighbouring pair its arrow
 # (forward, backward).  A tree is labeled next to the graph and bare next to
 # the codec.
 _CHAIN = ("fac", "graph", "labeled", "mnr", "prufer")
 _ARROWS = (
     (graph_of, factorization_of),
-    (phi_labeled, _psi_checked),
+    (phi_labeled, psi),
     (lambda lm: lm.mnr, lambda m: unique_labeling(m)[0]),
     (lambda m: (mnr_encode(m), m.tree.svertices, m.vertex_data), lambda hsv: mnr_decode(*hsv)),
 )
@@ -209,12 +200,15 @@ def _arrows(source: str, target: str) -> list:
 
 
 def _read(kind: str, data: dict):
-    """The JSON data as a value of the kind; a tree without labels gets its unique labeling."""
-    start = "mnr" if kind == "labeled" and "labels" not in data else kind
-    value = _KINDS[start][0](data)
-    for arrow in _arrows(start, kind):
-        value = arrow(value)
-    return value
+    """The JSON data as a value of the kind; a labeled tree must carry its unique labeling."""
+    if kind != "labeled":
+        return _KINDS[kind][0](data)
+    lm = unique_labeling(mnr_from_json(data))[0]
+    if "labels" in data:
+        for (node, x), (_, y) in zip(labeled_mnr_from_json(data).labels, lm.labels):
+            if x != y:
+                raise ValueError(f"node {node} is labeled {x}; the tree's unique labeling gives {y}")
+    return lm
 
 
 def _convert(direction: str, data: dict) -> dict:
@@ -252,6 +246,8 @@ def _roundtrip_reference(direction: str, data: dict) -> dict:
     value = _read(kind, data)
     if direction == "fac2mnr":
         value = standardize(value)[0]
+    elif direction == "graph2mnr":  # phi_labeled relabels tau to (1 2 ... d)
+        value = standardize_graph(value)[0]
     if _DIRECTIONS[direction][1] == "fac":  # a factorization carries no S
         value = _default_s(value)
     return _KINDS[kind][1](value)

@@ -162,73 +162,49 @@ def _require_factor_degrees(g: FactorizationGraph) -> None:
             raise ValueError(f"S-vertex {s} has degree < 2; predicates undefined")
 
 
-def has_cpp(g: FactorizationGraph, s_vertex: int, gamma: Cycle | None = None) -> bool:
+def has_cpp(g: FactorizationGraph, s_vertex: int) -> bool:
     """Consecutive partition property of an S-vertex.
 
     True iff deleting the vertex leaves subtrees whose [d]-vertex sets are
-    consecutive arcs of the circle of ``gamma`` (default: the graph's tau).
+    consecutive arcs of the circle of the graph's tau.
     """
-    gamma = g.tau if gamma is None else gamma
     if s_vertex not in set(g.svertices):
         raise ValueError(f"no S-vertex {s_vertex} in this graph")
-    if g.tau.support != gamma.support:
-        raise ValueError("gamma must order exactly the graph's [d]-vertices")
     _require_factor_degrees(g)
-    circle = CircleOrder(gamma)
+    circle = g.circle()
     return all(
         circle.arc_span(dset) is not None
         for _, dset in g.components_without(s_vertex)
     )
 
 
-def has_cicpp(g: FactorizationGraph, d_vertex: int, gamma: Cycle | None = None) -> bool:
+def has_cicpp(g: FactorizationGraph, d_vertex: int) -> bool:
     """Counterclockwise increasing consecutive partition property.
 
-    Deleting the [d]-vertex must (a) leave subtrees whose [d]-vertex sets
-    are consecutive arcs of the circle minus the vertex, and (b) walking the
-    circle counterclockwise from the vertex must meet those arcs in the
-    increasing order of the subtrees' attaching S-neighbors.
+    Walking the circle counterclockwise from the [d]-vertex, the subtrees
+    left by deleting it must be met one after another, each once, in the
+    increasing order of their attaching S-neighbors.  Meeting a subtree
+    twice ends the walk, so the walk alone enforces that every subtree's
+    [d]-vertices form a consecutive arc of the circle minus the vertex.
     """
-    gamma = g.tau if gamma is None else gamma
     if d_vertex not in g.tau.support:
         raise ValueError(f"no [d]-vertex {d_vertex} in this graph")
-    if g.tau.support != gamma.support:
-        raise ValueError("gamma must order exactly the graph's [d]-vertices")
     _require_factor_degrees(g)
-    circle = CircleOrder(gamma)
-    q = circle.size
-    comps = g.components_without(d_vertex)
-    s_neighbors = g.neighbors_of_v(d_vertex)
-
+    circle = g.circle()
     comp_of: dict[int, int] = {}
-    for i, (sset, dset) in enumerate(comps):
+    for i, (sset, dset) in enumerate(g.components_without(d_vertex)):
         for x in sset | dset:
             comp_of[x] = i
 
-    # (a): each component's [d]-set is a run in the circular order minus the vertex
     v_pos = circle.position(d_vertex)
-    for _, dset in comps:
-        reduced = sorted((circle.position(x) - v_pos - 1) % q for x in dset)
-        gaps = sum(
-            1
-            for i, p in enumerate(reduced)
-            if (reduced[i - 1] + 1) % (q - 1) != p % (q - 1)
-        )
-        if len(dset) != q - 1 and gaps != 1:
-            return False
-
-    # (b): counterclockwise first-encounter order of components matches the
-    # increasing order of the S-neighbors
     encounter: list[int] = []
-    for offset in range(1, q):
-        w = circle.element_at(v_pos - offset)
-        i = comp_of[w]
+    for offset in range(1, circle.size):
+        i = comp_of[circle.element_at(v_pos - offset)]
         if not encounter or encounter[-1] != i:
             if i in encounter:
                 return False  # component met twice: not consecutive
             encounter.append(i)
-    expected = [comp_of[s] for s in s_neighbors]
-    return encounter == expected
+    return encounter == [comp_of[s] for s in g.neighbors_of_v(d_vertex)]
 
 
 def characterization_failure(g: FactorizationGraph) -> str | None:

@@ -277,6 +277,8 @@ def enumerate_mnr(svertices, vertex_data):
         raise ValueError("vertex data must list the root and every S-vertex")
     if n < 1:
         raise ValueError("need at least one non-root vertex")
+    if any(f < 1 for f in vertex_data):
+        raise ValueError("node counts must be positive")
     alphabet = sorted(
         (w, b)
         for w, f in zip((0,) + svertices, vertex_data)

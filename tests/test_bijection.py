@@ -15,7 +15,7 @@ from cyclefactor.factorization import (
     FactorizationType,
     enumerate_factorizations,
 )
-from cyclefactor.graph import graph_of, is_factorization_graph
+from cyclefactor.graph import characterization_failure, graph_of, is_factorization_graph
 from cyclefactor.perm import Cycle, standard_cycle
 from cyclefactor.trees import (
     LabeledMNR,
@@ -216,6 +216,13 @@ class TestCheckLabelRanges:
         lm = LabeledMNR(m, (((0, 1), 1), ((9, 1), 2)))
         ok, _ = check_label_ranges(lm)
         assert ok
+
+    def test_multi_node_root_fails(self):
+        # unique_labeling has no answer here, and the unfolding is no tree
+        m = MultiNodedRootedTree(RootedTree((5,), ((5, 0),)), (2, 1), ((5, 1),))
+        lm = LabeledMNR(m, (((0, 1), 1), ((0, 2), 3), ((5, 1), 2)))
+        assert check_label_ranges(lm) == (False, None)
+        assert characterization_failure(psi(lm)) == "not a tree"
 
     def test_agrees_with_fold_image_over_all_labelings(self):
         # The witness exists iff the labeling is a fold image: its unfolding

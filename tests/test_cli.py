@@ -27,6 +27,16 @@ PINNED = [
     ("prufer2mnr", "matrix", "mnr"),
 ]
 
+# Labelings that unfold to a factorization graph that does not fold back to
+# them: a star and a chain, each carrying labels other than its unique labeling
+NON_UNIQUE_LABELINGS = [
+    '{"S":[5],"vertex_data":[1,3],"edges":[{"parent":0,"child":5,"beta":1}],'
+    '"labels":{"(0,1)":2,"(5,1)":1,"(5,2)":3,"(5,3)":4}}',
+    '{"S":[5,6,7],"vertex_data":[1,1,1,1],"edges":[{"parent":0,"child":5,"beta":1},'
+    '{"parent":5,"child":6,"beta":1},{"parent":6,"child":7,"beta":1}],'
+    '"labels":{"(0,1)":2,"(5,1)":3,"(6,1)":4,"(7,1)":1}}',
+]
+
 # A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
 GRAPH_OWN_S = '{"d":3,"S":[10,20],"edges":[[10,1],[10,2],[20,2],[20,3]],"tau":[1,2,3]}'
 TREE_OWN_S = (
@@ -124,6 +134,11 @@ class TestEnumerate:
         }
         assert "count: 1" in err
 
+    def test_mnr_nonpositive_node_count(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--kind", "mnr", "--vertex-data", "0,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "positive" in err
+
 
 class TestConvert:
     @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
@@ -153,20 +168,38 @@ class TestConvert:
                 '{"S":[3],"vertex_data":[2,1],"edges":[{"parent":0,"child":3,"beta":2}]}',
                 '{"S":[3],"vertex_data":[2,1],"top":[0],"bottom":[2]}',
             ),
+            (
+                "graph2mnr",
+                '{"d":3,"S":[4,5],"edges":[[4,1],[4,3],[5,2],[5,3]],"tau":[1,3,2]}',
+                '{"S":[4,5],"vertex_data":[1,1,1],"edges":[{"parent":0,"child":4,"beta":1},'
+                '{"parent":4,"child":5,"beta":1}],"labels":{"(0,1)":1,"(4,1)":2,"(5,1)":3}}',
+            ),
         ],
         ids=["graph-own-s", "tree-own-s", "tree-keeps-s", "graph-keeps-s",
-             "nonstandard-tau", "multi-node-root"],
+             "nonstandard-tau", "multi-node-root", "graph-nonstandard-tau"],
     )
     def test_roundtrip_edge_cases(self, capsys, monkeypatch, direction, stdin, expected):
         # A factorization carries no S, so the way back through one names S as
         # graph_of does, and the comparison allows for that; a round trip that
-        # avoids factorizations keeps S.  fac2mnr relabels tau, and mnr2prufer
-        # reads the bare tree, so a multi-node root encodes.
+        # avoids factorizations keeps S.  fac2mnr and graph2mnr relabel tau to
+        # (1 2 ... d), and mnr2prufer reads the bare tree, so a multi-node root
+        # encodes.
         code, out, err = run(
             capsys, "convert", "--direction", direction, "--roundtrip",
             stdin=stdin, monkeypatch=monkeypatch,
         )
         assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize("stdin", NON_UNIQUE_LABELINGS, ids=["star", "chain"])
+    @pytest.mark.parametrize("direction", ["mnr2graph", "mnr2fac"])
+    def test_non_unique_labeling_rejected(self, capsys, monkeypatch, direction, stdin, roundtrip):
+        code, out, err = run(
+            capsys, "convert", "--direction", direction, *(["--roundtrip"] if roundtrip else []),
+            stdin=stdin, monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "unique labeling" in err
 
     def test_input_file_is_closed(self, capsys):
         with warnings.catch_warnings(record=True) as caught:

@@ -177,6 +177,18 @@ class TestCicpp:
         )
         assert not has_cicpp(g, 19)
 
+    def test_component_wrapping_across_the_vertex_fails(self):
+        # deleting 1 leaves {5, 2, 4} and {6, 3}: the arc 4, 2 runs through 1,
+        # so the walk 4, 3, 2 meets the first component twice
+        g = FactorizationGraph(
+            4,
+            SVertexSet((5, 6)),
+            frozenset({(5, 1), (5, 2), (5, 4), (6, 1), (6, 3)}),
+            standard_cycle(4),
+        )
+        assert not has_cicpp(g, 1)
+        assert characterization_failure(g) == "[d]-vertex 1 lacks CICPP"
+
     def test_missing_vertex(self):
         with pytest.raises(ValueError):
             has_cicpp(star_graph(3), 99)

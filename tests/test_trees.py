@@ -166,6 +166,13 @@ class TestEnumerationAndCardinality:
         items = list(enumerate_mnr((5,), (3, 2)))
         assert [m.beta_of(5) for m in items] == [1, 2, 3]
 
+    @pytest.mark.parametrize("vd", [(0, 1), (1, 0), (-1, 2)])
+    def test_nonpositive_node_counts_rejected(self, vd):
+        with pytest.raises(ValueError, match="positive"):
+            mnr_cardinality(vd)
+        with pytest.raises(ValueError, match="positive"):
+            list(enumerate_mnr((5,), vd))
+
     def test_factorization_shape(self):
         e = (2, 3, 2, 3, 3, 4, 4, 2, 5)
         vd = (1,) + tuple(x - 1 for x in e)
