@@ -84,7 +84,6 @@ from .trees import (
 )
 from .bijection import (
     LabelRanges,
-    check_label_ranges,
     phi,
     phi_labeled,
     psi,

@@ -15,18 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    FactorizationGraph,
-    SVertexSet,
-    characterization_failure,
-)
+from .graph import FactorizationGraph, SVertexSet, factorization_of
 from .perm import standard_cycle
 from .trees import LabeledMNR, MultiNodedRootedTree, RootedTree
 
 
 @dataclass
 class LabelRanges:
-    """Witness intervals: labels of every node- and vertex-rooted subtree."""
+    """The label interval of every node- and vertex-rooted subtree."""
 
     node_ranges: dict[tuple[int, int], tuple[int, int]]
     vertex_ranges: dict[int, tuple[int, int]]
@@ -39,9 +35,10 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
     factor vertex becomes an (e_j - 1)-noded vertex whose nodes carry its
     children in increasing order, attached to its parent's node.
     """
-    failure = characterization_failure(g)
-    if failure is not None:
-        raise ValueError(f"not a factorization graph: {failure}")
+    # the membership gate; a lone vertex is the graph of the empty
+    # factorization of a 1-cycle, which Factorization cannot hold
+    if g.svertices or g.tau.length != 1:
+        factorization_of(g)
     if g.tau != standard_cycle(g.d):
         g = standardize_graph(g)[0]
 
@@ -99,19 +96,14 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     )
 
 
-def _top_down(children: dict[int, list[int]]) -> list[int]:
-    """The root 0 and every S-vertex reachable from it, each after its parent."""
-    order = [0]
-    for v in order:  # breadth first: the list grows while it is read
-        order.extend(children[v])
-    return order
-
-
 def _subtree_node_counts(m: MultiNodedRootedTree):
     """Node counts of every vertex- and node-rooted subtree."""
     children = m.tree.children_of()
+    order = [0]  # every vertex after its parent
+    for v in order:  # breadth first: the list grows while it is read
+        order.extend(children[v])
     vertex_count: dict[int, int] = {}
-    for v in reversed(_top_down(children)):
+    for v in reversed(order):
         vertex_count[v] = m.f_of(v) + sum(vertex_count[c] for c in children[v])
     attached: dict[tuple[int, int], list[int]] = {}
     for c in m.tree.svertices:
@@ -175,87 +167,6 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
 
     lm = LabeledMNR(m, tuple(labels.items()))
     return lm, LabelRanges(node_ranges, vertex_ranges)
-
-
-def check_label_ranges(lm: LabeledMNR) -> tuple[bool, LabelRanges | None]:
-    """Decide whether a labeling unfolds to a factorization graph.
-
-    True iff every node- and vertex-rooted subtree carries an interval of
-    labels and the intervals tile each other in the required order: a
-    vertex's node intervals run left to right, and around each node the
-    attached vertices with smaller values stack below the node's label
-    (nearest first), the others above it (largest nearest).  Returns the
-    witness intervals when they exist.  A multi-noded root never passes:
-    its unfolding has too few edges to be a tree.
-    """
-    m = lm.mnr
-    if m.vertex_data[0] != 1:
-        return False, None
-    children = m.tree.children_of()
-    vertex_count, node_count, attached = _subtree_node_counts(m)
-
-    # The labels are a bijection onto [d], so a subtree's labels form an
-    # interval iff their span is exactly as wide as its node count.
-    low: dict[int, int] = {}
-    high: dict[int, int] = {}
-    for v in reversed(_top_down(children)):
-        labs = [lm.label_of((v, pos)) for pos in range(1, m.f_of(v) + 1)]
-        low[v] = min(labs + [low[c] for c in children[v]])
-        high[v] = max(labs + [high[c] for c in children[v]])
-
-    vertex_ranges = {}
-    for v, count in vertex_count.items():
-        if high[v] - low[v] + 1 != count:
-            return False, None
-        vertex_ranges[v] = (low[v], high[v])
-    node_ranges = {}
-    for node in m.nodes():
-        kids = attached.get(node, ())
-        label = lm.label_of(node)
-        lo = min([label] + [low[c] for c in kids])
-        hi = max([label] + [high[c] for c in kids])
-        if hi - lo + 1 != node_count[node]:
-            return False, None
-        node_ranges[node] = (lo, hi)
-
-    verts = (0,) + m.tree.svertices
-    for vertex in verts:
-        # node intervals tile the vertex interval left to right
-        alpha, beta = vertex_ranges[vertex]
-        cursor = alpha
-        for pos in range(1, m.f_of(vertex) + 1):
-            a, b = node_ranges[(vertex, pos)]
-            if a != cursor:
-                return False, None
-            cursor = b + 1
-        if cursor != beta + 1:
-            return False, None
-        # around each node: smaller-valued vertices below, larger above
-        for pos in range(1, m.f_of(vertex) + 1):
-            node = (vertex, pos)
-            a, b = node_ranges[node]
-            label = lm.label_of(node)
-            kids = sorted(attached.get(node, ()))
-            below = [c for c in kids if c < vertex]
-            above = [c for c in kids if c > vertex]
-            cursor = a
-            for c in reversed(below):
-                ca, cb = vertex_ranges[c]
-                if ca != cursor:
-                    return False, None
-                cursor = cb + 1
-            if cursor != label:
-                return False, None
-            cursor = label + 1
-            for c in reversed(above):
-                ca, cb = vertex_ranges[c]
-                if ca != cursor:
-                    return False, None
-                cursor = cb + 1
-            if cursor != b + 1:
-                return False, None
-
-    return True, LabelRanges(node_ranges, vertex_ranges)
 
 
 def standardize_graph(g: FactorizationGraph) -> tuple[FactorizationGraph, dict[int, int]]:

@@ -90,7 +90,11 @@ def cmd_count(args) -> int:
     if (args.e is None) == (args.cycle_index is None):
         raise ValueError("give exactly one of --e or --cycle-index")
     if args.cycle_index is not None:
+        if args.method != "formula":
+            raise ValueError(f"--cycle-index counts by formula only, not --method {args.method}")
         value = count_by_cycle_index(args.d, _parse_cycle_index(args.cycle_index))
+        if args.hurwitz:
+            value = Fraction(value, args.d)
         if args.format == "json":
             _emit({"count": str(value)}, sys.stdout)
         else:

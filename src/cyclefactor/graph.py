@@ -6,6 +6,12 @@ of sigma_j.  In genus 0 these graphs are trees, and membership in the image
 is characterized intrinsically: every [d]-vertex must split the tree into
 circle arcs whose counterclockwise order matches the increasing order of its
 S-neighbors (the CICPP predicate below).
+
+The library's membership gate is ``factorization_of``: a tree whose S-vertices
+have degree >= 2 is a factorization graph iff reading each S-vertex's
+neighbors clockwise gives cycles that multiply to tau.  Such a tree is the
+graph of that reading, and every factorization graph reads clockwise.  CICPP
+stays the paper's theorem; ``verify`` checks that it carves out the same set.
 """
 
 from __future__ import annotations
@@ -19,8 +25,6 @@ from .factorization import Factorization, FactorizationType, validate
 from .perm import (
     Cycle,
     CircleOrder,
-    compose,
-    product,
     split_circle_product,
     standard_cycle,
 )
@@ -207,17 +211,25 @@ def has_cicpp(g: FactorizationGraph, d_vertex: int) -> bool:
     return encounter == [comp_of[s] for s in g.neighbors_of_v(d_vertex)]
 
 
+def _shape_failure(g: FactorizationGraph) -> str | None:
+    """Why g is not a tree with every S-vertex of degree >= 2, or None."""
+    for s in g.svertices:
+        if len(g.neighbors_of_s(s)) < 2:
+            return f"S-vertex {s} has degree < 2"
+    if not g.is_tree():
+        return "not a tree"
+    return None
+
+
 def characterization_failure(g: FactorizationGraph) -> str | None:
     """The first reason g is not a factorization graph, or None if it is one.
 
     The characterization: every S-vertex has degree >= 2, the graph is a
     tree, and every [d]-vertex has CICPP on the graph's own circle.
     """
-    for s in g.svertices:
-        if len(g.neighbors_of_s(s)) < 2:
-            return f"S-vertex {s} has degree < 2"
-    if not g.is_tree():
-        return "not a tree"
+    failure = _shape_failure(g)
+    if failure is not None:
+        return failure
     for v in sorted(g.tau.support):
         if not has_cicpp(g, v):
             return f"[d]-vertex {v} lacks CICPP"
@@ -230,8 +242,15 @@ def is_factorization_graph(g: FactorizationGraph) -> bool:
 
 
 def factorization_of(g: FactorizationGraph) -> Factorization:
-    """Recover the factorization: read each S-vertex's neighbors clockwise."""
-    failure = characterization_failure(g)
+    """Recover the factorization: read each S-vertex's neighbors clockwise.
+
+    This is the membership gate.  On a tree whose S-vertices have degree
+    >= 2, the reading multiplies to tau iff g is a factorization graph: g is
+    then the graph of the reading, and every factorization graph reads
+    clockwise (the clockwise-reading lemma).  Raises ValueError starting
+    "not a factorization graph" otherwise.
+    """
+    failure = _shape_failure(g)
     if failure is not None:
         raise ValueError(f"not a factorization graph: {failure}")
     circle = g.circle()
@@ -240,8 +259,10 @@ def factorization_of(g: FactorizationGraph) -> Factorization:
     )
     ftype = FactorizationType(g.tau.length, tuple(s.length for s in sigmas))
     f = Factorization(ftype, g.tau, sigmas)
-    if not validate(f):  # cannot happen on a predicate-passing graph
-        raise RuntimeError("clockwise reading failed to recover a factorization")
+    if not validate(f):
+        raise ValueError(
+            "not a factorization graph: the clockwise reading does not multiply to tau"
+        )
     return f
 
 
@@ -264,13 +285,9 @@ class Decomposition:
 
 def decompose_at_last(g: FactorizationGraph) -> Decomposition:
     """Split g along its largest S-vertex into sub-factorization-graphs."""
-    failure = characterization_failure(g)
-    if failure is not None:
-        raise ValueError(f"not a factorization graph: {failure}")
-    circle = g.circle()
+    sigma_last = factorization_of(g).sigmas[-1]
     svalues = tuple(g.svertices)
     s_last = svalues[-1]
-    sigma_last = circle.clockwise_cycle(g.neighbors_of_s(s_last))
     pieces = split_circle_product(g.tau, sigma_last.inverse())
     assert isinstance(pieces, list)
 
@@ -292,15 +309,6 @@ def decompose_at_last(g: FactorizationGraph) -> Decomposition:
 
     gammas = tuple(ordered)
     sizes = tuple(c.length for c in gammas)
-    # sanity: the pieces multiply to tau * sigma_last^{-1}, and each subtree
-    # balances its factor lengths against its circle size
-    lhs = product((c.to_permutation() for c in gammas), g.d)
-    rhs = compose(g.tau.to_permutation(), sigma_last.inverse().to_permutation())
-    if lhs != rhs:
-        raise RuntimeError("piece product mismatch")
-    for bset, size in zip(bsets[:k], sizes[:k]):
-        if sum(len(g.neighbors_of_s(svalues[j - 1])) - 1 for j in bset) != size - 1:
-            raise RuntimeError("subtree length balance violated")
     return Decomposition(k, tuple(subtrees), tuple(bsets), gammas, sizes)
 
 

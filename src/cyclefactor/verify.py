@@ -46,6 +46,7 @@ from .perm import (
     cycle_decomposition,
     is_clockwise_on,
     is_counterclockwise_on,
+    product,
     split_circle_product,
     standard_cycle,
 )
@@ -244,22 +245,34 @@ def check_bijection_pipeline(max_d: int) -> CheckResult:
     return CheckResult("bijection-pipeline", True, f"{cases} objects, d <= {min(max_d, 6)}")
 
 
+def _gate_passes(g) -> bool:
+    try:
+        factorization_of(g)
+    except ValueError:
+        return False
+    return True
+
+
 def check_characterization(max_d: int) -> CheckResult:
-    """Predicate-passing degree graphs are exactly the factorization graphs."""
+    """Gate-passing, CICPP-passing and image degree graphs are the same set.
+
+    The gate is ``factorization_of`` (the clockwise reading multiplies to
+    tau); CICPP is the paper's characterization.
+    """
+    count = 0
     for d in range(2, min(max_d, 5) + 1):
         tau = standard_cycle(d)
         for e in genus0_types(d):
-            passing = {
-                g.edges for g in enumerate_degree_graphs(d, e) if is_factorization_graph(g)
-            }
-            images = {
-                graph_of(f).edges for f in enumerate_factorizations(d, tau, e)
-            }
-            if passing != images:
-                return CheckResult(
-                    "characterization", False, f"d={d} e={e}: {len(passing)} vs {len(images)}"
-                )
-    return CheckResult("characterization", True, f"set equality, d <= {min(max_d, 5)}")
+            graphs = list(enumerate_degree_graphs(d, e))
+            count += len(graphs)
+            gated = {g.edges for g in graphs if _gate_passes(g)}
+            cicpp = {g.edges for g in graphs if is_factorization_graph(g)}
+            images = {graph_of(f).edges for f in enumerate_factorizations(d, tau, e)}
+            if not gated == cicpp == images:
+                sizes = f"gate {len(gated)}, CICPP {len(cicpp)}, images {len(images)}"
+                return CheckResult("characterization", False, f"d={d} e={e}: {sizes}")
+    detail = f"{count} degree graphs: gate = CICPP = images, d <= {min(max_d, 5)}"
+    return CheckResult("characterization", True, detail)
 
 
 def check_golden() -> CheckResult:
@@ -346,19 +359,21 @@ def check_decomposition(max_d: int) -> CheckResult:
             for f in enumerate_factorizations(d, tau, e):
                 g = graph_of(f)
                 dec = decompose_at_last(g)
-                svalues = tuple(g.svertices)
                 if sorted(x for b in dec.bsets for x in b) != list(range(1, len(e))):
                     return CheckResult("decomposition", False, f"partition d={d} e={e}")
+                # the pieces multiply to tau * sigma_last^{-1}
+                rest = compose(tau.to_permutation(), f.sigmas[-1].inverse().to_permutation())
+                if product((c.to_permutation() for c in dec.gammas), d) != rest:
+                    return CheckResult("decomposition", False, f"pieces d={d} e={e}")
                 for i in range(dec.k):
                     gamma, bset, sub = dec.gammas[i], dec.bsets[i], dec.subtrees[i]
-                    prod_parts = [f.sigmas[j - 1].to_permutation() for j in sorted(bset)]
-                    prod = prod_parts[0]
-                    for p in prod_parts[1:]:
-                        prod = compose(prod, p)
+                    prod = product((f.sigmas[j - 1].to_permutation() for j in sorted(bset)), d)
                     if prod != gamma.to_permutation():
                         return CheckResult("decomposition", False, f"gamma d={d} e={e}")
                     if gamma.length != dec.sizes[i]:
                         return CheckResult("decomposition", False, f"size d={d} e={e}")
+                    if sum(f.sigmas[j - 1].length - 1 for j in bset) != gamma.length - 1:
+                        return CheckResult("decomposition", False, f"balance d={d} e={e}")
                     sub_f = factorization_of(sub)
                     expected = tuple(f.sigmas[j - 1] for j in sorted(bset))
                     if sub_f.sigmas != expected:

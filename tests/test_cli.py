@@ -70,6 +70,19 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--d", "5", "--cycle-index", "2:2,3:1")
         assert (code, out) == (0, "75\n")
 
+    def test_cycle_index_hurwitz(self, capsys):
+        code, out, _ = run(capsys, "count", "--d", "5", "--cycle-index", "2:4", "--hurwitz")
+        assert (code, out) == (0, "25\n")
+
+    @pytest.mark.parametrize("method", ["bruteforce", "bijection", "all"])
+    def test_cycle_index_rejects_other_methods(self, capsys, method):
+        code, out, err = run(
+            capsys, "count", "--d", "5", "--cycle-index", "2:4",
+            "--method", method, "--cap", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "formula" in err
+
     def test_hurwitz_flag(self, capsys):
         code, out, _ = run(capsys, "count", "--d", "5", "--e", "2,2,3", "--hurwitz")
         assert (code, out) == (0, "5\n")

@@ -188,6 +188,10 @@ class TestCicpp:
         )
         assert not has_cicpp(g, 1)
         assert characterization_failure(g) == "[d]-vertex 1 lacks CICPP"
+        # the gate agrees: the tree's clockwise reading (1 2 4)(1 3) is not tau
+        for gated in (factorization_of, decompose_at_last):
+            with pytest.raises(ValueError, match="^not a factorization graph"):
+                gated(g)
 
     def test_missing_vertex(self):
         with pytest.raises(ValueError):
@@ -217,15 +221,24 @@ class TestCharacterization:
         assert failure is not None and "CICPP" in failure
 
     def test_predicate_carves_out_exactly_the_images_d4(self):
+        def gate_passes(g):
+            try:
+                factorization_of(g)
+            except ValueError:
+                return False
+            return True
+
         for e in genus0_types(4):
             passing = {
                 g.edges for g in enumerate_degree_graphs(4, e) if is_factorization_graph(g)
             }
+            gated = {g.edges for g in enumerate_degree_graphs(4, e) if gate_passes(g)}
             images = {
                 graph_of(f).edges
                 for f in enumerate_factorizations(4, standard_cycle(4), e)
             }
             assert passing == images
+            assert gated == images
         assert len({
             g.edges for g in enumerate_degree_graphs(4, (2, 2, 2)) if is_factorization_graph(g)
         }) == 16
