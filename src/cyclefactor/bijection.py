@@ -97,7 +97,11 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
 
 
 def _subtree_node_counts(m: MultiNodedRootedTree):
-    """Node counts of every vertex- and node-rooted subtree."""
+    """The breadth-first vertex order and the node counts of every subtree.
+
+    ``attached[node]`` lists the vertices hanging from a node in increasing
+    order.
+    """
     children = m.tree.children_of()
     order = [0]  # every vertex after its parent
     for v in order:  # breadth first: the list grows while it is read
@@ -113,57 +117,48 @@ def _subtree_node_counts(m: MultiNodedRootedTree):
         node: 1 + sum(vertex_count[c] for c in attached.get(node, ()))
         for node in m.nodes()
     }
-    return vertex_count, node_count, attached
+    return order, vertex_count, node_count, attached
 
 
 def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
     """The unique node labeling whose unfolding is a factorization graph.
 
-    Works down the levels: a vertex's interval is split across its nodes by
-    subtree node counts; around each node, the attached vertices with
+    Works down from the root: a vertex's interval is split across its nodes
+    by subtree node counts; around each node, the attached vertices with
     smaller values stack below the node's label (nearest first) and the
-    others stack above it (largest nearest).
+    others stack above it (largest nearest).  A vertex's labels depend only
+    on the interval its parent gives it, so any top-down order works.
     """
     if m.vertex_data[0] != 1:
         raise ValueError("the root must be single-noded for the labeling to exist")
     d = m.total_nodes
-    vertex_count, node_count, attached = _subtree_node_counts(m)
+    order, vertex_count, node_count, attached = _subtree_node_counts(m)
 
     vertex_ranges: dict[int, tuple[int, int]] = {0: (1, d)}
     node_ranges: dict[tuple[int, int], tuple[int, int]] = {}
     labels: dict[tuple[int, int], int] = {}
 
-    children = m.tree.children_of()
-    level = [0]
-    while level:
-        next_level: list[int] = []
-        for vertex in sorted(level):
-            alpha, beta = vertex_ranges[vertex]
-            start = alpha
-            for pos in range(1, m.f_of(vertex) + 1):
-                node = (vertex, pos)
-                node_ranges[node] = (start, start + node_count[node] - 1)
-                start += node_count[node]
-            if start != beta + 1:
-                raise RuntimeError("node counts do not tile the vertex interval")
-            for pos in range(1, m.f_of(vertex) + 1):
-                node = (vertex, pos)
-                a, _ = node_ranges[node]
-                kids = sorted(attached.get(node, ()))
-                below = [c for c in kids if c < vertex]
-                above = [c for c in kids if c > vertex]
-                label = a + sum(vertex_count[c] for c in below)
-                labels[node] = label
-                lo = label
-                for c in below:  # packs [.., label-1] downward in value order
-                    vertex_ranges[c] = (lo - vertex_count[c], lo - 1)
-                    lo -= vertex_count[c]
-                hi = label
-                for c in reversed(above):  # packs [label+1, ..] upward
-                    vertex_ranges[c] = (hi + 1, hi + vertex_count[c])
-                    hi += vertex_count[c]
-                next_level.extend(kids)
-        level = next_level
+    for vertex in order:
+        start, end = vertex_ranges[vertex]
+        for pos in range(1, m.f_of(vertex) + 1):
+            node = (vertex, pos)
+            node_ranges[node] = (start, start + node_count[node] - 1)
+            kids = attached.get(node, ())
+            below = [c for c in kids if c < vertex]
+            above = [c for c in kids if c > vertex]
+            label = start + sum(vertex_count[c] for c in below)
+            labels[node] = label
+            lo = label
+            for c in below:  # packs [.., label-1] downward in value order
+                vertex_ranges[c] = (lo - vertex_count[c], lo - 1)
+                lo -= vertex_count[c]
+            hi = label
+            for c in reversed(above):  # packs [label+1, ..] upward
+                vertex_ranges[c] = (hi + 1, hi + vertex_count[c])
+                hi += vertex_count[c]
+            start += node_count[node]
+        if start != end + 1:
+            raise RuntimeError("node counts do not tile the vertex interval")
 
     lm = LabeledMNR(m, tuple(labels.items()))
     return lm, LabelRanges(node_ranges, vertex_ranges)

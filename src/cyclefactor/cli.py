@@ -62,11 +62,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_cycle_index(text: str) -> dict[int, int]:
-    out = {}
-    for item in text.split(","):
-        m, _, nm = item.partition(":")
-        out[int(m)] = int(nm)
-    return out
+    try:
+        return {int(m): int(nm) for m, nm in (item.split(":") for item in text.split(","))}
+    except ValueError:
+        raise ValueError(
+            f"--cycle-index must list length:multiplicity pairs such as 2:2,3:1, got {text!r}"
+        ) from None
 
 
 def _emit(data: dict, stream) -> None:

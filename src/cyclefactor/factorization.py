@@ -114,7 +114,8 @@ def validate(f: Factorization) -> bool:
         return False
     if any(s.length != ei for s, ei in zip(f.sigmas, f.ftype.e)):
         return False
-    if any(not s.support <= f.tau.support for s in f.sigmas):
+    support = f.tau.support
+    if any(not s.support <= support for s in f.sigmas):
         return False
     prod = product((s.to_permutation() for s in f.sigmas), f.tau.degree)
     return prod == f.tau.to_permutation()

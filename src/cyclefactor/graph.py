@@ -89,10 +89,6 @@ class FactorizationGraph:
         object.__setattr__(self, "_v_adj", {v: tuple(ss) for v, ss in v_adj.items()})
 
     @property
-    def dvertices(self) -> tuple[int, ...]:
-        return self.tau.elements
-
-    @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(self._s_adj[s]) for s in self.svertices)
 
@@ -159,11 +155,10 @@ def graph_of(f: Factorization, svertices: SVertexSet | None = None) -> Factoriza
     return FactorizationGraph(ambient, svertices, edges, f.tau)
 
 
-def _require_factor_degrees(g: FactorizationGraph) -> None:
-    # the circle predicates assume every factor vertex keeps degree >= 2
-    for s in g.svertices:
-        if len(g.neighbors_of_s(s)) < 2:
-            raise ValueError(f"S-vertex {s} has degree < 2; predicates undefined")
+def _degree_failure(g: FactorizationGraph) -> str | None:
+    """Names the first S-vertex of degree < 2, which neither the gate nor CICPP allows."""
+    low = (s for s in g.svertices if len(g.neighbors_of_s(s)) < 2)
+    return next((f"S-vertex {s} has degree < 2" for s in low), None)
 
 
 def has_cpp(g: FactorizationGraph, s_vertex: int) -> bool:
@@ -174,7 +169,8 @@ def has_cpp(g: FactorizationGraph, s_vertex: int) -> bool:
     """
     if s_vertex not in set(g.svertices):
         raise ValueError(f"no S-vertex {s_vertex} in this graph")
-    _require_factor_degrees(g)
+    if failure := _degree_failure(g):
+        raise ValueError(f"{failure}; predicates undefined")
     circle = g.circle()
     return all(
         circle.arc_span(dset) is not None
@@ -193,7 +189,8 @@ def has_cicpp(g: FactorizationGraph, d_vertex: int) -> bool:
     """
     if d_vertex not in g.tau.support:
         raise ValueError(f"no [d]-vertex {d_vertex} in this graph")
-    _require_factor_degrees(g)
+    if failure := _degree_failure(g):
+        raise ValueError(f"{failure}; predicates undefined")
     circle = g.circle()
     comp_of: dict[int, int] = {}
     for i, (sset, dset) in enumerate(g.components_without(d_vertex)):
@@ -213,12 +210,10 @@ def has_cicpp(g: FactorizationGraph, d_vertex: int) -> bool:
 
 def _shape_failure(g: FactorizationGraph) -> str | None:
     """Why g is not a tree with every S-vertex of degree >= 2, or None."""
-    for s in g.svertices:
-        if len(g.neighbors_of_s(s)) < 2:
-            return f"S-vertex {s} has degree < 2"
-    if not g.is_tree():
+    failure = _degree_failure(g)
+    if failure is None and not g.is_tree():
         return "not a tree"
-    return None
+    return failure
 
 
 def characterization_failure(g: FactorizationGraph) -> str | None:

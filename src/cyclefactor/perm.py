@@ -60,9 +60,6 @@ class Permutation:
             inv[y - 1] = i + 1
         return Permutation(self.degree, tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(y == i + 1 for i, y in enumerate(self.images))
-
     @property
     def support(self) -> frozenset[int]:
         return frozenset(i + 1 for i, y in enumerate(self.images) if y != i + 1)
@@ -112,9 +109,6 @@ class Cycle:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.elements)
-
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
 
     def to_permutation(self) -> Permutation:
         return Permutation.from_cycles(self.degree, [self.elements])
@@ -246,9 +240,6 @@ class CircleOrder:
     def size(self) -> int:
         return self.base_cycle.length
 
-    def __contains__(self, value: int) -> bool:
-        return value in self._pos
-
     def position(self, value: int) -> int:
         if value not in self._pos:
             raise ValueError(f"{value} is not on the circle of {self.base_cycle}")
@@ -274,7 +265,7 @@ class CircleOrder:
     def clockwise_cycle(self, values) -> Cycle:
         """The cycle obtained by reading the given support clockwise."""
         values = set(values)
-        if not values <= self.base_cycle.support:
+        if not values <= self._pos.keys():
             raise ValueError("values leave the circle's support")
         ordered = tuple(sorted(values, key=self._pos.__getitem__))
         return Cycle(self.base_cycle.degree, ordered)

@@ -11,6 +11,7 @@ positions 1..f_i running left to right.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -45,18 +46,19 @@ class RootedTree:
         sset = set(svertices)
         if [c for c, _ in parents] != sorted(sset):
             raise ValueError("parent map must cover every non-root vertex once")
-        pmap = dict(parents)
-        object.__setattr__(self, "_pmap", pmap)
+        object.__setattr__(self, "_pmap", dict(parents))
         for c, p in parents:
             if p != 0 and p not in sset:
                 raise ValueError(f"unknown parent {p}")
-            # walk to the root; a revisit means a cycle
-            seen = {c}
-            while p != 0:
-                if p in seen:
-                    raise ValueError(f"cycle through {p}")
-                seen.add(p)
-                p = pmap[p]
+        # each vertex has one parent, so one walk from the root meets it at
+        # most once, and misses exactly the vertices on or below a cycle
+        children = self.children_of()
+        reached = [0]
+        for v in reached:  # breadth first: the list grows while it is read
+            reached.extend(children[v])
+        if len(reached) <= len(svertices):
+            v = min(sset - set(reached))
+            raise ValueError(f"vertex {v} is not reached from the root: it lies on or below a cycle")
 
     @property
     def n(self) -> int:
@@ -78,22 +80,17 @@ def _deletion_steps(tree: RootedTree) -> list[tuple[int, int]]:
     """(leaf, parent) pairs in largest-leaf deletion order; the root stays."""
     if tree.n == 0:
         raise TrivialTreeError("the trivial tree has no codec")
-    pmap = dict(tree.parents)
-    child_count: dict[int, int] = {0: 0}
-    for s in tree.svertices:
-        child_count.setdefault(s, 0)
-    for _, p in tree.parents:
-        child_count[p] = child_count.get(p, 0) + 1
-    leaves = {s for s in tree.svertices if child_count[s] == 0}
+    child_count = {v: len(kids) for v, kids in tree.children_of().items()}
+    heap = [-s for s in tree.svertices if not child_count[s]]  # negated leaves
+    heapq.heapify(heap)
     steps = []
-    for _ in range(tree.n):
-        v = max(leaves)
-        leaves.remove(v)
-        w = pmap[v]
+    while heap:
+        v = -heapq.heappop(heap)
+        w = tree.parent_of(v)
         steps.append((v, w))
         child_count[w] -= 1
-        if w != 0 and child_count[w] == 0:
-            leaves.add(w)
+        if w != 0 and not child_count[w]:
+            heapq.heappush(heap, -w)
     return steps
 
 
@@ -116,18 +113,22 @@ def _decode_steps(seq, svertices) -> list[tuple[int, int]]:
     if seq[-1] != 0:
         raise ValueError("sequence must end in the root 0")
     allowed = set(svertices) | {0}
+    if len(allowed) != n + 1:  # S repeats a value or holds 0
+        raise ValueError(f"S must hold distinct nonzero values, got {list(svertices)}")
     if any(w not in allowed for w in seq):
         raise ValueError("sequence entries must lie in S + {0}")
-    remaining = {}
+    # remaining[x]: how often x still occurs in the sequence; x is a leaf at 0
+    remaining = dict.fromkeys(allowed, 0)
     for w in seq:
-        remaining[w] = remaining.get(w, 0) + 1
-    alive = set(svertices)
+        remaining[w] += 1
+    heap = [-s for s in svertices if not remaining[s]]  # negated leaves
+    heapq.heapify(heap)
     steps = []
     for w in seq:
-        v = max(x for x in alive if not remaining.get(x))
-        steps.append((v, w))
-        alive.remove(v)
+        steps.append((-heapq.heappop(heap), w))
         remaining[w] -= 1
+        if w != 0 and not remaining[w]:
+            heapq.heappush(heap, -w)
     return steps
 
 
@@ -338,8 +339,11 @@ def labeled_mnr_from_json(data: dict) -> LabeledMNR:
     (labels_in,) = fields(data, "labels")
     labels = []
     for key, x in mapping(labels_in, "labels").items():
-        v, p = key.strip("()").split(",")
-        labels.append(((int(v), int(p)), integer(x, "labels")))
+        try:
+            v, p = (int(t) for t in key.strip("()").split(","))
+        except ValueError:
+            raise ValueError(f'labels keys must read "(vertex,position)", got {key!r}') from None
+        labels.append(((v, p), integer(x, "labels")))
     return LabeledMNR(m, tuple(labels))
 
 

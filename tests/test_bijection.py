@@ -346,3 +346,19 @@ class TestLargeRoundTrip:
         lm_back = phi_labeled(graph_of(f))
         assert lm_back == lm
         assert mnr_encode(lm_back.mnr) == h
+
+    # the tree half alone at d = 10,000: decode, label, unfold and encode
+    # each take one pass, so a deep path costs no more than a random tree
+    @pytest.mark.parametrize("kind", ["transpositions", "path"])
+    def test_tree_half_at_d_10000(self, kind):
+        d = 10_000
+        e = (2,) * (d - 1)
+        if kind == "transpositions":
+            h, sv, vd = random_codec_matrix(random.Random(f"{kind}-{d}"), d, e)
+        else:  # d+1 under the root, each next S-vertex under the one before
+            sv, vd = tuple(range(d + 1, 2 * d)), (1,) * d
+            h = PruferMatrix(tuple(range(d + 2, 2 * d)) + (0,), (1,) * (d - 1))
+        lm, ranges = unique_labeling(mnr_decode(h, sv, vd))
+        assert mnr_encode(lm.mnr) == h
+        assert psi(lm).is_tree()
+        assert (ranges.vertex_ranges, ranges.node_ranges) == label_spans(lm)

@@ -387,3 +387,43 @@ class TestPrufer:
             stdin='{"S":[],"edges":[]}', monkeypatch=monkeypatch,
         )
         assert code == 2 and err
+
+
+class TestInputErrorsNameTheField:
+    # codec input whose S repeats a value or holds 0 has no tree
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("prufer", "--mode", "decode"), '{"sequence":[5,0],"S":[5,5]}'),
+            (
+                ("convert", "--direction", "prufer2mnr"),
+                '{"S":[0],"vertex_data":[1,1],"top":[0],"bottom":[1]}',
+            ),
+            (
+                ("convert", "--direction", "prufer2mnr"),
+                '{"S":[5,5],"vertex_data":[1,1,1],"top":[5,0],"bottom":[1,1]}',
+            ),
+            (("enumerate", "--kind", "mnr", "--vertex-data", "1,1,1", "--s", "5,5"), None),
+        ],
+        ids=["prufer-repeated", "prufer2mnr-zero", "prufer2mnr-repeated", "enumerate-repeated"],
+    )
+    def test_bad_s(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2 and not out
+        assert err.startswith("error: S must hold distinct nonzero values")
+
+    def test_label_key_without_position(self, capsys, monkeypatch):
+        tree = (
+            '{"S":[5],"vertex_data":[1,1],"edges":[{"parent":0,"child":5,"beta":1}],'
+            '"labels":{"(0,1)":1,"(5)":2}}'
+        )
+        code, out, err = run(
+            capsys, "convert", "--direction", "mnr2graph", stdin=tree, monkeypatch=monkeypatch
+        )
+        assert code == 2 and not out
+        assert err.startswith("error: labels keys must read \"(vertex,position)\", got '(5)'")
+
+    def test_cycle_index_without_multiplicity(self, capsys):
+        code, out, err = run(capsys, "count", "--d", "3", "--cycle-index", "2")
+        assert code == 2 and not out
+        assert err.startswith("error: --cycle-index must list length:multiplicity pairs")

@@ -48,6 +48,11 @@ class TestRootedTree:
         with pytest.raises(ValueError):
             RootedTree((1, 2), ((1, 2), (2, 1)))
 
+    def test_cycle_error_names_a_vertex_it_cuts_off(self):
+        # 2 and 3 point at each other and 4 hangs below them; 1 is fine
+        with pytest.raises(ValueError, match="vertex 2 is not reached from the root"):
+            RootedTree((1, 2, 3, 4), ((1, 0), (2, 3), (3, 2), (4, 3)))
+
     def test_rejects_incomplete_parent_map(self):
         with pytest.raises(ValueError):
             RootedTree((1, 2), ((1, 0),))
@@ -102,6 +107,71 @@ class TestClassicPrufer:
             prufer_decode((5, 5), (5, 7))  # does not end in 0
         with pytest.raises(ValueError):
             prufer_decode((9, 0), (5, 7))  # entry outside S
+
+
+def reference_deletion_steps(pmap):
+    """(leaf, parent) pairs by a plain scan: delete the largest leaf, n times."""
+    child_count = {v: 0 for v in pmap}
+    for p in pmap.values():
+        child_count[p] = child_count.get(p, 0) + 1
+    alive = set(pmap)
+    steps = []
+    while alive:
+        v = max(x for x in alive if not child_count[x])
+        alive.remove(v)
+        steps.append((v, pmap[v]))
+        child_count[pmap[v]] -= 1
+    return steps
+
+
+def reference_decode(seq, svertices):
+    """(leaf, parent) pairs by a plain scan: the largest vertex not yet deleted
+    and absent from the rest of the sequence hangs from the next entry."""
+    alive = set(svertices)
+    steps = []
+    for i, w in enumerate(seq):
+        rest = set(seq[i:])
+        v = max(x for x in alive if x not in rest)
+        alive.remove(v)
+        steps.append((v, w))
+    return steps
+
+
+def random_parent_maps(rng):
+    """Seeded random trees up to 300 vertices, with a star and a path of each size."""
+    for n in (1, 2, 3, 5, 8, 13, 40, 100, 300):
+        svertices = sorted(rng.sample(range(1, 4 * n + 1), n))
+        yield {s: 0 for s in svertices}
+        yield dict(zip(svertices, [0] + svertices[:-1]))
+        for _ in range(4):
+            order = rng.sample(svertices, n)
+            yield {v: rng.choice([0] + order[:i]) for i, v in enumerate(order)}
+
+
+class TestHeapCodecAgainstScan:
+    # encode then decode would pass if both directions changed order
+    # together, so each is compared with the plain largest-leaf scan
+    def test_encode_matches_scan(self):
+        rng = random.Random("encode-scan")
+        for pmap in random_parent_maps(rng):
+            tree = RootedTree(tuple(sorted(pmap)), tuple(pmap.items()))
+            steps = reference_deletion_steps(pmap)
+            assert prufer_encode(tree) == tuple(w for _, w in steps)
+            beta = {c: rng.randint(1, 3) for c in pmap}
+            vd = (3,) * (len(pmap) + 1)
+            h = mnr_encode(MultiNodedRootedTree(tree, vd, tuple(beta.items())))
+            assert h.bottom == tuple(beta[v] for v, _ in steps)
+
+    def test_decode_matches_scan(self):
+        rng = random.Random("decode-scan")
+        for pmap in random_parent_maps(rng):
+            svertices = tuple(sorted(pmap))
+            alphabet = (0,) + svertices
+            seqs = [tuple(pmap[v] for v, _ in reference_deletion_steps(pmap))]
+            seqs.append(tuple(rng.choice(alphabet) for _ in svertices[1:]) + (0,))
+            for seq in seqs:
+                steps = reference_decode(seq, svertices)
+                assert prufer_decode(seq, svertices).parents == tuple(sorted(steps))
 
 
 class TestMnrCodec:
