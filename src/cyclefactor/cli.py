@@ -57,8 +57,13 @@ from .verify import run_checks
 ENV_CAP = "CYCLEFACTOR_MAX_D"
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(
+            f"{flag} must be comma-separated integers such as 2,2,3, got {text!r}"
+        ) from None
 
 
 def _parse_cycle_index(text: str) -> dict[int, int]:
@@ -87,6 +92,13 @@ def _default_cap() -> int:
     return int(os.environ.get(ENV_CAP, "7"))
 
 
+def _check_cap(d: int, args) -> None:
+    """Refuse a brute-force route past --cap, or past the default cap."""
+    cap = args.cap if args.cap is not None else _default_cap()
+    if d > cap:
+        raise CapExceededError(f"degree {d} exceeds the cap {cap}; pass --cap to override")
+
+
 def cmd_count(args) -> int:
     if (args.e is None) == (args.cycle_index is None):
         raise ValueError("give exactly one of --e or --cycle-index")
@@ -101,17 +113,13 @@ def cmd_count(args) -> int:
         else:
             print(value)
         return 0
-    e = _parse_int_list(args.e)
+    e = _parse_int_list(args.e, "--e")
     d = args.d
-    cap = args.cap if args.cap is not None else _default_cap()
     methods = ["bruteforce", "formula", "bijection"] if args.method == "all" else [args.method]
 
     def one(method: str):
         if method == "bruteforce":
-            if d > cap:
-                raise CapExceededError(
-                    f"degree {d} exceeds the cap {cap}; pass --cap to override"
-                )
+            _check_cap(d, args)
             if d > _default_cap():
                 prefixes = 1
                 for ei in e[:-1]:
@@ -140,7 +148,8 @@ def cmd_enumerate(args) -> int:
     if args.kind in ("factorization", "graph"):
         if args.d is None or args.e is None:
             raise ValueError("--d and --e are required for this kind")
-        e = _parse_int_list(args.e)
+        e = _parse_int_list(args.e, "--e")
+        _check_cap(args.d, args)
         tau = standard_cycle(args.d)
         for f in enumerate_factorizations(args.d, tau, e):
             record = factorization_to_json(f) if args.kind == "factorization" else graph_to_json(graph_of(f))
@@ -149,9 +158,9 @@ def cmd_enumerate(args) -> int:
     elif args.kind == "mnr":
         if args.vertex_data is None:
             raise ValueError("--vertex-data is required for kind mnr")
-        vd = _parse_int_list(args.vertex_data)
+        vd = _parse_int_list(args.vertex_data, "--vertex-data")
         if args.s is not None:
-            svertices = _parse_int_list(args.s)
+            svertices = _parse_int_list(args.s, "--s")
         else:
             total = sum(vd)
             svertices = tuple(range(total + 1, total + len(vd)))
@@ -265,8 +274,10 @@ def cmd_convert(args) -> int:
     if args.roundtrip:
         back = _convert(_INVERSE_DIRECTION[args.direction], dict(out))
         back.pop("relabeling", None)
-        if back != _roundtrip_reference(args.direction, data):
-            print("roundtrip mismatch", file=sys.stderr)
+        reference = _roundtrip_reference(args.direction, data)
+        if back != reference:
+            key = next(k for k in (*reference, *back) if back.get(k) != reference.get(k))
+            print(f"roundtrip mismatch: field {key!r} differs", file=sys.stderr)
             return 1
     return 0
 
@@ -337,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e")
     p.add_argument("--vertex-data")
     p.add_argument("--s", help="comma-separated S-vertex values")
+    p.add_argument("--cap", type=int, help=f"degree cap for factorization and graph (default ${ENV_CAP} or 7)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="map an object across the bijections")

@@ -15,16 +15,18 @@ from cyclefactor.factorization import (
     Factorization,
     FactorizationType,
     enumerate_factorizations,
+    validate,
 )
 from cyclefactor.graph import (
     FactorizationGraph,
     SVertexSet,
     characterization_failure,
+    decompose_at_last,
     factorization_of,
     graph_of,
     is_factorization_graph,
 )
-from cyclefactor.perm import Cycle, standard_cycle
+from cyclefactor.perm import Cycle, product, standard_cycle
 from cyclefactor.trees import (
     LabeledMNR,
     MultiNodedRootedTree,
@@ -323,6 +325,25 @@ def multiplies_to_standard_cycle(d, sigmas):
     return all(images[x] == x % d + 1 for x in range(1, d + 1))
 
 
+def random_type(rng, d, factors):
+    """A uniform random genus-0 type of d with the given number of factors."""
+    cuts = sorted(rng.sample(range(1, d - 1), factors - 1))
+    bounds = [0] + cuts + [d - 1]
+    return tuple(b - a + 1 for a, b in zip(bounds, bounds[1:]))
+
+
+def assert_chain_round_trip(rng, d, e):
+    """Decode, label, unfold, read, rebuild, fold and encode a random matrix of type e."""
+    h, sv, vd = random_codec_matrix(rng, d, e)
+    lm, _ = unique_labeling(mnr_decode(h, sv, vd))
+    f = factorization_of(psi(lm))
+    assert tuple(s.length for s in f.sigmas) == e
+    assert multiplies_to_standard_cycle(d, f.sigmas)
+    lm_back = phi_labeled(graph_of(f))
+    assert lm_back == lm
+    assert mnr_encode(lm_back.mnr) == h
+
+
 class TestLargeRoundTrip:
     # the whole chain far past enumeration range: decode, label, unfold,
     # read, rebuild, fold and encode must give back the same matrix
@@ -330,22 +351,14 @@ class TestLargeRoundTrip:
     def test_chain_at_d_1000(self, kind):
         d = 1000
         rng = random.Random(f"{kind}-{d}")
-        if kind == "transpositions":
-            e = (2,) * (d - 1)
-        else:
-            cuts = sorted(rng.sample(range(1, d - 1), 499))
-            bounds = [0] + cuts + [d - 1]
-            e = tuple(b - a + 1 for a, b in zip(bounds, bounds[1:]))
+        e = (2,) * (d - 1) if kind == "transpositions" else random_type(rng, d, 500)
         assert len(e) == (d - 1 if kind == "transpositions" else 500)
-        h, sv, vd = random_codec_matrix(rng, d, e)
+        assert_chain_round_trip(rng, d, e)
 
-        lm, _ = unique_labeling(mnr_decode(h, sv, vd))
-        f = factorization_of(psi(lm))
-        assert tuple(s.length for s in f.sigmas) == e
-        assert multiplies_to_standard_cycle(d, f.sigmas)
-        lm_back = phi_labeled(graph_of(f))
-        assert lm_back == lm
-        assert mnr_encode(lm_back.mnr) == h
+    # the north star's size: the whole chain, validate included, at d = 10,000
+    def test_chain_at_d_10000(self):
+        d = 10_000
+        assert_chain_round_trip(random.Random(f"transpositions-{d}"), d, (2,) * (d - 1))
 
     # the tree half alone at d = 10,000: decode, label, unfold and encode
     # each take one pass, so a deep path costs no more than a random tree
@@ -362,3 +375,64 @@ class TestLargeRoundTrip:
         assert mnr_encode(lm.mnr) == h
         assert psi(lm).is_tree()
         assert (ranges.vertex_ranges, ranges.node_ranges) == label_spans(lm)
+
+
+def full_product_matches(f):
+    """The independent oracle: the ordered product of full permutations equals tau."""
+    return product((s.to_permutation() for s in f.sigmas), f.tau.degree) == f.tau.to_permutation()
+
+
+def perturbations(rng, f):
+    """f with two adjacent factors swapped, with one factor inverted, and with another tau.
+
+    Each keeps the factor lengths matching the type and the factors inside
+    supp(tau), so only the product can tell it from a factorization.
+    """
+    sigmas, tau = f.sigmas, f.tau
+    if len(sigmas) > 1:
+        i = rng.randrange(len(sigmas) - 1)
+        swapped = sigmas[:i] + (sigmas[i + 1], sigmas[i]) + sigmas[i + 2:]
+        yield Factorization(FactorizationType(f.d, tuple(s.length for s in swapped)), tau, swapped)
+    i = max(range(len(sigmas)), key=lambda j: sigmas[j].length)
+    yield Factorization(f.ftype, tau, sigmas[:i] + (sigmas[i].inverse(),) + sigmas[i + 1:])
+    if tau.length > 2:  # a 2-cycle is the only cycle on its support
+        elems = list(tau.elements)
+        while Cycle(tau.degree, tuple(elems)) == tau:
+            rng.shuffle(elems)
+        yield Factorization(f.ftype, Cycle(tau.degree, tuple(elems)), sigmas)
+
+
+class TestValidateOracle:
+    # validate applies each factor on its own support; the full-permutation
+    # product must give the same answer on factorizations and near misses
+    @pytest.mark.parametrize("d", [6, 50, 300])
+    def test_random_codec_factorizations(self, d):
+        rng = random.Random(f"validate-{d}")
+        types = [(2,) * (d - 1), (d,)] + [random_type(rng, d, rng.randint(2, d - 2)) for _ in range(4)]
+        rejected = 0
+        for e in types:
+            h, sv, vd = random_codec_matrix(rng, d, e)
+            f = factorization_of(psi(unique_labeling(mnr_decode(h, sv, vd))[0]))
+            assert validate(f) and full_product_matches(f)
+            for g in perturbations(rng, f):
+                assert validate(g) == full_product_matches(g)
+                rejected += not validate(g)
+        assert rejected >= len(types)
+
+    def test_decompose_at_last_sub_factorizations(self):
+        # sub-circle taus live in the ambient degree d, fixing every point off them
+        rng = random.Random("validate-sub-circles")
+        checked = rejected = 0
+        for d in range(2, 6):
+            tau = standard_cycle(d)
+            for e in genus0_types(d):
+                for f in enumerate_factorizations(d, tau, e):
+                    dec = decompose_at_last(graph_of(f))
+                    for sub in dec.subtrees[: dec.k]:
+                        sub_f = factorization_of(sub)
+                        assert sub_f.tau.degree == d
+                        for g in (sub_f, *perturbations(rng, sub_f)):
+                            assert validate(g) == full_product_matches(g)
+                            checked += 1
+                            rejected += not validate(g)
+        assert checked > rejected > 0

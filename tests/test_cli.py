@@ -1,14 +1,19 @@
 """The command-line surface: flags, formats, exit codes."""
 
+import dataclasses
 import gc
 import json
+import random
 import warnings
 from pathlib import Path
 
 import pytest
 
+from cyclefactor import cli
 from cyclefactor import worked_example as we
 from cyclefactor.cli import main
+from cyclefactor.graph import factorization_of
+from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,6 +127,20 @@ class TestCount:
         code, _, err = run(capsys, "count", "--d", "6", "--e", "2,2,2,2,2", "--method", "bruteforce")
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag,text",
+        [
+            (("count", "--d", "5", "--e", "2,x"), "--e", "2,x"),
+            (("enumerate", "--kind", "mnr", "--vertex-data", "1,a"), "--vertex-data", "1,a"),
+            (("enumerate", "--kind", "mnr", "--vertex-data", "1,1", "--s", "3;4"), "--s", "3;4"),
+        ],
+        ids=["e", "vertex-data", "s"],
+    )
+    def test_bad_integer_list_names_flag(self, capsys, argv, flag, text):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be comma-separated integers such as 2,2,3, got {text!r}\n"
+
 
 class TestEnumerate:
     def test_factorizations(self, capsys):
@@ -146,6 +165,22 @@ class TestEnumerate:
             "edges": [{"parent": 0, "child": 3, "beta": 1}],
         }
         assert "count: 1" in err
+
+    @pytest.mark.parametrize("kind", ["factorization", "graph"])
+    def test_cap_exceeded(self, capsys, monkeypatch, kind):
+        monkeypatch.delenv("CYCLEFACTOR_MAX_D", raising=False)
+        e = ",".join(["2"] * 1099)
+        code, out, err = run(capsys, "enumerate", "--kind", kind, "--d", "1100", "--e", e)
+        assert (code, out) == (3, "")
+        assert err == "error: degree 1100 exceeds the cap 7; pass --cap to override\n"
+
+    @pytest.mark.parametrize("kind", ["factorization", "graph"])
+    def test_cap_override(self, capsys, monkeypatch, kind):
+        monkeypatch.setenv("CYCLEFACTOR_MAX_D", "3")
+        argv = ("enumerate", "--kind", kind, "--d", "4", "--e", "2,2,2")
+        assert run(capsys, *argv)[0] == 3
+        code, out, _ = run(capsys, *argv, "--cap", "4")
+        assert code == 0 and len(out.strip().split("\n")) == 16
 
     def test_mnr_nonpositive_node_count(self, capsys):
         code, out, err = run(capsys, "enumerate", "--kind", "mnr", "--vertex-data", "0,1")
@@ -293,6 +328,34 @@ class TestConvert:
         )
         assert code == 2
         assert "not a tree" in err
+
+    def test_roundtrip_mismatch_names_field(self, capsys, monkeypatch):
+        # a way back that reverses the factors lands on other sigmas
+        def reversed_factors(g):
+            f = factorization_of(g)
+            return dataclasses.replace(f, sigmas=f.sigmas[::-1])
+
+        monkeypatch.setattr(cli, "_ARROWS", ((cli.graph_of, reversed_factors),) + cli._ARROWS[1:])
+        code, _, err = run(
+            capsys, "convert", "--direction", "fac2graph", "--roundtrip",
+            "--input", str(FIXTURES / "factorization.json"),
+        )
+        assert (code, err) == (1, "roundtrip mismatch: field 'sigmas' differs\n")
+
+    def test_roundtrip_at_d_10000(self, capsys, tmp_path):
+        # a random bare tree of transpositions through the whole chain and back
+        d = 10_000
+        rng = random.Random(f"mnr2fac-{d}")
+        sv = tuple(range(d + 1, 2 * d))
+        top = tuple(rng.choice((0,) + sv) for _ in range(d - 2)) + (0,)
+        tree = mnr_decode(PruferMatrix(top, (1,) * (d - 1)), sv, (1,) * d)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(mnr_to_json(tree)))
+        code, out, err = run(
+            capsys, "convert", "--direction", "mnr2fac", "--roundtrip", "--input", str(path)
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["sigmas"]) == d - 1
 
     def test_bad_json(self, capsys, monkeypatch):
         code, _, err = run(
