@@ -15,12 +15,9 @@ from .perm import (
     compose,
     cycle_decomposition,
     cycle_type,
-    format_permutation,
     index,
     is_clockwise_on,
     is_counterclockwise_on,
-    parse_cycle,
-    parse_permutation,
     product,
     pure_cycle_type,
     split_circle_product,

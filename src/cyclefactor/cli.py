@@ -17,6 +17,7 @@ from ._json import fields, integers, mapping
 from .bijection import phi_labeled, psi, standardize_graph, unique_labeling
 from .factorization import (
     CapExceededError,
+    FactorizationType,
     count_by_cycle_index,
     count_factorizations,
     enumerate_factorizations,
@@ -150,6 +151,7 @@ def cmd_enumerate(args) -> int:
             raise ValueError("--d and --e are required for this kind")
         e = _parse_int_list(args.e, "--e")
         _check_cap(args.d, args)
+        FactorizationType(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
         for f in enumerate_factorizations(args.d, tau, e):
             record = factorization_to_json(f) if args.kind == "factorization" else graph_to_json(graph_of(f))

@@ -291,7 +291,7 @@ def enumerate_factorizations(d: int, tau: Cycle, e) -> Iterator[Factorization]:
     return gen()
 
 
-def count_factorizations(d: int, e, method: str = "bruteforce", tau: Cycle | None = None) -> int:
+def count_factorizations(d: int, e, method: str = "bruteforce") -> int:
     """Count factorizations of a d-cycle with factor lengths e.
 
     method:
@@ -303,9 +303,7 @@ def count_factorizations(d: int, e, method: str = "bruteforce", tau: Cycle | Non
     e = tuple(e)
     ftype = FactorizationType(d, e)
     if method == "bruteforce":
-        if tau is None:
-            tau = standard_cycle(d)
-        return sum(1 for _ in _stream_element_tuples(d, tau, e))
+        return sum(1 for _ in _stream_element_tuples(d, standard_cycle(d), e))
     if ftype.genus != 0:
         raise ValueError(f"method {method!r} requires genus 0, got genus {ftype.genus}")
     if method == "formula":
@@ -485,9 +483,13 @@ def factorization_to_json(f: Factorization) -> dict:
 
 
 def factorization_from_json(data: dict) -> Factorization:
+    """Read and validate a factorization; ``standardize`` and ``graph_of`` trust it."""
     degree, tau, sigmas = fields(data, "d", "tau", "sigmas")
     degree = integer(degree, "d")
     tau = Cycle(degree, integers(tau, "tau"))
     sigmas = tuple(Cycle(degree, integers(s, "sigmas")) for s in array(sigmas, "sigmas"))
     ftype = FactorizationType(tau.length, tuple(s.length for s in sigmas))
-    return Factorization(ftype, tau, sigmas)
+    f = Factorization(ftype, tau, sigmas)
+    if not validate(f):
+        raise ValueError("not a factorization: the ordered product is not tau")
+    return f

@@ -139,9 +139,11 @@ class FactorizationGraph:
 
 
 def graph_of(f: Factorization, svertices: SVertexSet | None = None) -> FactorizationGraph:
-    """The support graph of a factorization; S defaults to {d+1, ..., d+r-1}."""
-    if not validate(f):
-        raise ValueError("not a factorization: the ordered product is not tau")
+    """The support graph of a factorization; S defaults to {d+1, ..., d+r-1}.
+
+    It checks nothing: a factorization is validated where it is read, and the
+    gate rejects the graph of factors that do not multiply to tau.
+    """
     ambient = f.tau.degree
     if svertices is None:
         svertices = default_svertices(ambient, len(f.sigmas))
@@ -291,16 +293,16 @@ def decompose_at_last(g: FactorizationGraph) -> Decomposition:
     ordered = sorted(pieces, key=lambda c: c.length < 2)  # big pieces first, stable
     k = sum(1 for c in ordered if c.length >= 2)
 
+    factor_index = {s: j for j, s in enumerate(svalues, start=1)}
     subtrees = []
     bsets = []
     for gamma_i in ordered:
-        dset = frozenset(gamma_i.elements)
-        sset = comp_by_dset[dset]
-        sub_edges = frozenset((s, v) for s, v in g.edges if s in sset)
+        sset = comp_by_dset[frozenset(gamma_i.elements)]
+        sub_edges = frozenset((s, v) for s in sset for v in g.neighbors_of_s(s))
         subtrees.append(
             FactorizationGraph(g.d, SVertexSet(tuple(sorted(sset))), sub_edges, gamma_i)
         )
-        bsets.append(frozenset(svalues.index(s) + 1 for s in sset))
+        bsets.append(frozenset(factor_index[s] for s in sset))
 
     gammas = tuple(ordered)
     sizes = tuple(c.length for c in gammas)
@@ -318,7 +320,7 @@ def collapse_transposition_graph(g: FactorizationGraph) -> tuple[tuple[int, int]
     return tuple(sorted(edges))
 
 
-def enumerate_degree_graphs(d: int, e, svertices: SVertexSet | None = None, tau: Cycle | None = None):
+def enumerate_degree_graphs(d: int, e):
     """Every S-[d] bipartite graph with the prescribed S-degrees, one by one.
 
     This is the ambient family the characterization predicate carves the
@@ -326,10 +328,8 @@ def enumerate_degree_graphs(d: int, e, svertices: SVertexSet | None = None, tau:
     exhaustive verification at small d.
     """
     e = tuple(e)
-    if tau is None:
-        tau = standard_cycle(d)
-    if svertices is None:
-        svertices = default_svertices(d, len(e))
+    tau = standard_cycle(d)
+    svertices = default_svertices(d, len(e))
     pools = [
         [frozenset(c) for c in itertools.combinations(range(1, d + 1), ej)] for ej in e
     ]

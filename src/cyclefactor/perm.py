@@ -64,9 +64,6 @@ class Permutation:
     def support(self) -> frozenset[int]:
         return frozenset(i + 1 for i, y in enumerate(self.images) if y != i + 1)
 
-    def __str__(self) -> str:
-        return format_permutation(self)
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -343,54 +340,3 @@ def split_circle_product(mu: Cycle, eta: Cycle) -> list[Cycle] | NotMaximal:
         pieces.append(Cycle(mu.degree, elems))
     ordered = pieces[1:] + pieces[:1] if p > 1 else pieces
     return ordered
-
-
-def format_permutation(p: Permutation) -> str:
-    """Product-of-cycles text form, fixed points omitted, identity as ``()``.
-
-    >>> format_permutation(Permutation.from_cycles(5, [(1, 3), (2, 4)]))
-    '(1 3)(2 4)'
-    """
-    parts = [str(c) for c in cycle_decomposition(p) if c.length > 1]
-    return "".join(parts) if parts else "()"
-
-
-def _parse_cycle_texts(text: str) -> list[tuple[int, ...]]:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty permutation text")
-    chunks = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            if depth:
-                raise ValueError(f"nested parenthesis in {text!r}")
-            depth = 1
-            current = []
-        elif ch == ")":
-            if not depth:
-                raise ValueError(f"unbalanced parenthesis in {text!r}")
-            depth = 0
-            chunks.append(tuple(int(tok) for tok in "".join(current).split()))
-        elif depth:
-            current.append(ch)
-        elif not ch.isspace():
-            raise ValueError(f"unexpected character {ch!r} in {text!r}")
-    if depth:
-        raise ValueError(f"unbalanced parenthesis in {text!r}")
-    return chunks
-
-
-def parse_cycle(text: str, degree: int) -> Cycle:
-    """Parse a single parenthesized cycle such as ``(1 19)``."""
-    chunks = _parse_cycle_texts(text)
-    if len(chunks) != 1 or not chunks[0]:
-        raise ValueError(f"expected a single nonempty cycle, got {text!r}")
-    return Cycle(degree, chunks[0])
-
-
-def parse_permutation(text: str, degree: int) -> Permutation:
-    """Parse a product of cycles such as ``(1 3)(2 4)``; ``()`` is the identity."""
-    chunks = [c for c in _parse_cycle_texts(text) if c]
-    return Permutation.from_cycles(degree, chunks)

@@ -276,10 +276,7 @@ def enumerate_mnr(svertices, vertex_data):
     n = len(svertices)
     if len(vertex_data) != n + 1:
         raise ValueError("vertex data must list the root and every S-vertex")
-    if n < 1:
-        raise ValueError("need at least one non-root vertex")
-    if any(f < 1 for f in vertex_data):
-        raise ValueError("node counts must be positive")
+    mnr_cardinality(vertex_data)  # at least one non-root vertex, positive counts
     alphabet = sorted(
         (w, b)
         for w, f in zip((0,) + svertices, vertex_data)

@@ -426,6 +426,8 @@ def check_transpositions(max_d: int) -> CheckResult:
 
 def run_checks(max_d: int = 6, seed: int = 0, only: str | None = None) -> list[CheckResult]:
     """Run every suite (or those whose name contains ``only``) up to the cap."""
+    if max_d < 2:
+        raise ValueError(f"--max-d must be at least 2, got {max_d}: no smaller degree has a factorization")
     suites = [
         ("main-count", lambda: check_main_count(max_d)),
         ("transpositions", lambda: check_transpositions(max_d)),

@@ -42,6 +42,28 @@ NON_UNIQUE_LABELINGS = [
     '"labels":{"(0,1)":2,"(5,1)":3,"(6,1)":4,"(7,1)":1}}',
 ]
 
+
+def _fixture_factorization(change):
+    data = json.loads((FIXTURES / "factorization.json").read_text())
+    change(data["sigmas"])
+    return json.dumps(data)
+
+
+def _swap_adjacent(sigmas):
+    sigmas[1], sigmas[2] = sigmas[2], sigmas[1]  # (14 15 19) and (1 19) share 19
+
+
+def _invert_one(sigmas):
+    sigmas[1].reverse()
+
+
+# Factorizations whose ordered product is not tau; the reader rejects each
+NOT_FACTORIZATIONS = [
+    _fixture_factorization(_swap_adjacent),
+    _fixture_factorization(_invert_one),
+    '{"d":4,"tau":[1,2,3],"sigmas":[[1,4],[2,3]]}',  # (1 4) leaves supp(tau)
+]
+
 # A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
 GRAPH_OWN_S = '{"d":3,"S":[10,20],"edges":[[10,1],[10,2],[20,2],[20,3]],"tau":[1,2,3]}'
 TREE_OWN_S = (
@@ -181,6 +203,12 @@ class TestEnumerate:
         assert run(capsys, *argv)[0] == 3
         code, out, _ = run(capsys, *argv, "--cap", "4")
         assert code == 0 and len(out.strip().split("\n")) == 16
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["factorization", "graph"])
+    def test_nonpositive_degree(self, capsys, kind, d):
+        code, out, err = run(capsys, "enumerate", "--kind", kind, "--d", d, "--e", "2")
+        assert (code, out, err) == (2, "", "error: degree must be positive\n")
 
     def test_mnr_nonpositive_node_count(self, capsys):
         code, out, err = run(capsys, "enumerate", "--kind", "mnr", "--vertex-data", "0,1")
@@ -357,6 +385,17 @@ class TestConvert:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["sigmas"]) == d - 1
 
+    @pytest.mark.parametrize(
+        "stdin", NOT_FACTORIZATIONS, ids=["swapped", "inverted", "outside-tau"]
+    )
+    @pytest.mark.parametrize("direction", ["fac2graph", "fac2mnr"])
+    def test_not_a_factorization(self, capsys, monkeypatch, direction, stdin):
+        code, out, err = run(
+            capsys, "convert", "--direction", direction, stdin=stdin, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: not a factorization: the ordered product is not tau\n"
+
     def test_bad_json(self, capsys, monkeypatch):
         code, _, err = run(
             capsys, "convert", "--direction", "fac2graph",
@@ -397,6 +436,15 @@ class TestVerify:
     def test_only_transpositions(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "5", "--only", "transpositions")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("--max-d", "1"), ("--max-d", "-3", "--only", "prufer")], ids=["1", "-3"]
+    )
+    def test_degree_cap_below_two(self, capsys, argv):
+        # no degree below 2 has a factorization, so nothing would be tested
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --max-d must be at least 2")
 
     def test_unknown_filter(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "nonexistent-check")

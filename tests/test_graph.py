@@ -1,12 +1,16 @@
 """Support graphs: construction, recovery, predicates, decomposition."""
 
+import random
 
 import pytest
 
+from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.factorization import (
     Factorization,
     FactorizationType,
     enumerate_factorizations,
+    factorization_from_json,
+    factorization_to_json,
 )
 from cyclefactor.graph import (
     FactorizationGraph,
@@ -26,6 +30,7 @@ from cyclefactor.graph import (
     is_factorization_graph,
 )
 from cyclefactor.perm import Cycle, compose, product, standard_cycle
+from cyclefactor.trees import PruferMatrix, mnr_decode
 from cyclefactor.worked_example import factorization as worked_factorization
 
 
@@ -85,12 +90,17 @@ class TestGraphOf:
             graph_of(worked_factorization(), SVertexSet((21, 22)))
 
     def test_invalid_factorization_rejected(self):
+        # graph_of checks nothing; the reader and the gate reject the input
         tau = standard_cycle(3)
         bad = Factorization(
             FactorizationType(3, (2, 2)), tau, (Cycle(3, (1, 2)), Cycle(3, (1, 3)))
         )
-        with pytest.raises(ValueError):
-            graph_of(bad)
+        with pytest.raises(ValueError, match="^not a factorization: the ordered product is not tau$"):
+            factorization_from_json(factorization_to_json(bad))
+        with pytest.raises(ValueError, match="^not a factorization graph"):
+            factorization_of(graph_of(bad))
+        with pytest.raises(ValueError, match="^not a factorization graph"):
+            phi_labeled(graph_of(bad))
 
 
 class TestFactorizationOf:
@@ -308,6 +318,25 @@ class TestDecomposeAtLast:
                         assert sum(
                             len(f.sigmas[j - 1].elements) - 1 for j in dec.bsets[i]
                         ) == dec.sizes[i] - 1
+
+    # far past enumeration range; the last factor is a transposition, or
+    # has length d/2 and so leaves d/2 pieces
+    @pytest.mark.parametrize("last", [2, 5000], ids=["transpositions", "long-last"])
+    def test_at_d_10000(self, last):
+        d = 10_000
+        e = (2,) * (d - last) + (last,)
+        sv = tuple(range(d + 1, d + len(e) + 1))
+        vd = (1,) + tuple(ei - 1 for ei in e)
+        rng = random.Random(f"decompose-{last}-{d}")
+        alphabet = [(w, b) for w, f in zip((0,) + sv, vd) for b in range(1, f + 1)]
+        cols = [rng.choice(alphabet) for _ in e[1:]] + [(0, 1)]
+        h = PruferMatrix(tuple(w for w, _ in cols), tuple(b for _, b in cols))
+        dec = decompose_at_last(psi(unique_labeling(mnr_decode(h, sv, vd))[0]))
+        assert sorted(j for bset in dec.bsets for j in bset) == list(range(1, len(e)))
+        assert sum(dec.sizes) == d
+        assert dec.k >= 1
+        for sub in dec.subtrees[: dec.k]:
+            factorization_of(sub)
 
 
 class TestCollapse:
