@@ -49,6 +49,7 @@ from .graph import (
     default_svertices,
     enumerate_degree_graphs,
     factorization_of,
+    gate_failure,
     graph_from_json,
     graph_of,
     graph_to_dot,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FactorizationGraph, SVertexSet, factorization_of
+from .graph import FactorizationGraph, SVertexSet
 from .perm import standard_cycle
 from .trees import LabeledMNR, MultiNodedRootedTree, RootedTree
 
@@ -33,12 +33,9 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
 
     The root is a single-noded vertex 0 holding the node labeled 1; the j-th
     factor vertex becomes an (e_j - 1)-noded vertex whose nodes carry its
-    children in increasing order, attached to its parent's node.
+    children in increasing order, attached to its parent's node.  It trusts
+    g to be a factorization graph, as ``graph.gate_failure`` proves.
     """
-    # the membership gate; a lone vertex is the graph of the empty
-    # factorization of a 1-cycle, which Factorization cannot hold
-    if g.svertices or g.tau.length != 1:
-        factorization_of(g)
     if g.tau != standard_cycle(g.d):
         g = standardize_graph(g)[0]
 

@@ -29,6 +29,7 @@ from .graph import (
     FactorizationGraph,
     default_svertices,
     factorization_of,
+    gate_failure,
     graph_from_json,
     graph_of,
     graph_to_dot,
@@ -216,7 +217,13 @@ def _arrows(source: str, target: str) -> list:
 
 
 def _read(kind: str, data: dict):
-    """The JSON data as a value of the kind; a labeled tree must carry its unique labeling."""
+    """The JSON data as a value of the kind; a graph must pass the gate, and a
+    labeled tree must carry its unique labeling."""
+    if kind == "graph":
+        g = graph_from_json(data)
+        if failure := gate_failure(g):
+            raise ValueError(f"not a factorization graph: {failure}")
+        return g
     if kind != "labeled":
         return _KINDS[kind][0](data)
     lm = unique_labeling(mnr_from_json(data))[0]
@@ -227,9 +234,10 @@ def _read(kind: str, data: dict):
     return lm
 
 
-def _convert(direction: str, data: dict) -> dict:
+def _convert(direction: str, data: dict):
+    """The value read from the data as the direction's source, and its JSON output."""
     source, target = _DIRECTIONS[direction]
-    value = _read(source, data)
+    read = value = _read(source, data)
     if direction == "fac2mnr":
         value, relabel = standardize(value)
     for arrow in _arrows(source, target):
@@ -237,7 +245,7 @@ def _convert(direction: str, data: dict) -> dict:
     out = _KINDS[target][1](value)
     if direction == "fac2mnr" and any(k != v for k, v in relabel.items()):
         out["relabeling"] = {str(k): v for k, v in sorted(relabel.items())}
-    return out
+    return read, out
 
 
 def _default_s(value):
@@ -256,11 +264,12 @@ def _default_s(value):
     return MultiNodedRootedTree(tree, value.vertex_data, tuple((name[c], b) for c, b in value.beta))
 
 
-def _roundtrip_reference(direction: str, data: dict) -> dict:
-    """The canonical form the inverse conversion must land back on."""
+def _roundtrip_reference(direction: str, value) -> dict:
+    """The canonical form the inverse conversion must land back on, from the value read."""
     kind = _DIRECTIONS[_INVERSE_DIRECTION[direction]][1]
-    value = _read(kind, data)
-    if direction == "fac2mnr":
+    if direction == "mnr2fac":  # read labeled, compared bare
+        value = value.mnr
+    elif direction == "fac2mnr":
         value = standardize(value)[0]
     elif direction == "graph2mnr":  # phi_labeled relabels tau to (1 2 ... d)
         value = standardize_graph(value)[0]
@@ -270,13 +279,12 @@ def _roundtrip_reference(direction: str, data: dict) -> dict:
 
 
 def cmd_convert(args) -> int:
-    data = _read_json(args)
-    out = _convert(args.direction, data)
+    value, out = _convert(args.direction, _read_json(args))
     _emit(out, sys.stdout)
     if args.roundtrip:
-        back = _convert(_INVERSE_DIRECTION[args.direction], dict(out))
+        _, back = _convert(_INVERSE_DIRECTION[args.direction], dict(out))
         back.pop("relabeling", None)
-        reference = _roundtrip_reference(args.direction, data)
+        reference = _roundtrip_reference(args.direction, value)
         if back != reference:
             key = next(k for k in (*reference, *back) if back.get(k) != reference.get(k))
             print(f"roundtrip mismatch: field {key!r} differs", file=sys.stderr)

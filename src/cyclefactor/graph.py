@@ -7,11 +7,12 @@ is characterized intrinsically: every [d]-vertex must split the tree into
 circle arcs whose counterclockwise order matches the increasing order of its
 S-neighbors (the CICPP predicate below).
 
-The library's membership gate is ``factorization_of``: a tree whose S-vertices
+The library's membership gate is ``gate_failure``: a tree whose S-vertices
 have degree >= 2 is a factorization graph iff reading each S-vertex's
 neighbors clockwise gives cycles that multiply to tau.  Such a tree is the
 graph of that reading, and every factorization graph reads clockwise.  CICPP
 stays the paper's theorem; ``verify`` checks that it carves out the same set.
+The gate runs where a graph is read from outside; the arrows trust theirs.
 """
 
 from __future__ import annotations
@@ -238,29 +239,32 @@ def is_factorization_graph(g: FactorizationGraph) -> bool:
     return characterization_failure(g) is None
 
 
+def gate_failure(g: FactorizationGraph) -> str | None:
+    """The membership gate: why g is not a factorization graph, or None.
+
+    On a tree whose S-vertices have degree >= 2, the clockwise reading
+    multiplies to tau iff g is a factorization graph (the clockwise-reading
+    lemma).  The lone vertex is the graph of the empty factorization of a
+    1-cycle.
+    """
+    failure = _shape_failure(g)
+    if failure is None and g.svertices and not validate(factorization_of(g)):
+        failure = "the clockwise reading does not multiply to tau"
+    return failure
+
+
 def factorization_of(g: FactorizationGraph) -> Factorization:
     """Recover the factorization: read each S-vertex's neighbors clockwise.
 
-    This is the membership gate.  On a tree whose S-vertices have degree
-    >= 2, the reading multiplies to tau iff g is a factorization graph: g is
-    then the graph of the reading, and every factorization graph reads
-    clockwise (the clockwise-reading lemma).  Raises ValueError starting
-    "not a factorization graph" otherwise.
+    It trusts g to be a factorization graph with at least one S-vertex;
+    ``gate_failure`` proves a graph read from outside.
     """
-    failure = _shape_failure(g)
-    if failure is not None:
-        raise ValueError(f"not a factorization graph: {failure}")
     circle = g.circle()
     sigmas = tuple(
         circle.clockwise_cycle(g.neighbors_of_s(s)) for s in g.svertices
     )
     ftype = FactorizationType(g.tau.length, tuple(s.length for s in sigmas))
-    f = Factorization(ftype, g.tau, sigmas)
-    if not validate(f):
-        raise ValueError(
-            "not a factorization graph: the clockwise reading does not multiply to tau"
-        )
-    return f
+    return Factorization(ftype, g.tau, sigmas)
 
 
 @dataclass(frozen=True)
@@ -281,10 +285,10 @@ class Decomposition:
 
 
 def decompose_at_last(g: FactorizationGraph) -> Decomposition:
-    """Split g along its largest S-vertex into sub-factorization-graphs."""
-    sigma_last = factorization_of(g).sigmas[-1]
+    """Split a factorization graph along its largest S-vertex into sub-factorization-graphs."""
     svalues = tuple(g.svertices)
     s_last = svalues[-1]
+    sigma_last = g.circle().clockwise_cycle(g.neighbors_of_s(s_last))
     pieces = split_circle_product(g.tau, sigma_last.inverse())
     assert isinstance(pieces, list)
 

@@ -60,10 +60,6 @@ class Permutation:
             inv[y - 1] = i + 1
         return Permutation(self.degree, tuple(inv))
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, y in enumerate(self.images) if y != i + 1)
-
 
 @dataclass(frozen=True)
 class Cycle:

@@ -23,6 +23,7 @@ from cyclefactor.graph import (
     characterization_failure,
     decompose_at_last,
     factorization_of,
+    gate_failure,
     graph_of,
     is_factorization_graph,
 )
@@ -106,24 +107,23 @@ class TestPhiLabeled:
         assert lm.mnr.vertex_data == (1, 2)
         assert dict(lm.labels) == {(0, 1): 1, (4, 1): 2, (4, 2): 3}
 
-    def test_rejects_non_factorization_graph(self):
+    def test_rejects_non_factorization_graph(self, assert_gate_rejects):
         g = FactorizationGraph(
             4,
             SVertexSet((5, 6)),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
         )
-        with pytest.raises(ValueError, match="not a factorization graph"):
-            phi_labeled(g)
+        assert_gate_rejects(g, "not a tree")
 
-    def test_graph_without_factor_vertices(self):
+    def test_graph_without_factor_vertices(self, assert_gate_rejects):
         # one vertex is the graph of the empty factorization of a 1-cycle;
         # on more vertices an edgeless graph is no tree
         one = FactorizationGraph(1, SVertexSet(()), frozenset(), standard_cycle(1))
+        assert gate_failure(one) is None
         assert phi_labeled(one).mnr.vertex_data == (1,)
         three = FactorizationGraph(3, SVertexSet(()), frozenset(), standard_cycle(3))
-        with pytest.raises(ValueError, match="not a tree"):
-            phi_labeled(three)
+        assert_gate_rejects(three, "not a tree")
 
     def test_nonstandard_tau_is_relabeled(self):
         tau = Cycle(4, (1, 3, 2, 4))
@@ -355,7 +355,8 @@ class TestLargeRoundTrip:
         assert len(e) == (d - 1 if kind == "transpositions" else 500)
         assert_chain_round_trip(rng, d, e)
 
-    # the north star's size: the whole chain, validate included, at d = 10,000
+    # the north star's size: the whole chain at d = 10,000; the arrows trust
+    # their graphs, and an independent product checks the reading
     def test_chain_at_d_10000(self):
         d = 10_000
         assert_chain_round_trip(random.Random(f"transpositions-{d}"), d, (2,) * (d - 1))
@@ -429,6 +430,7 @@ class TestValidateOracle:
                 for f in enumerate_factorizations(d, tau, e):
                     dec = decompose_at_last(graph_of(f))
                     for sub in dec.subtrees[: dec.k]:
+                        assert gate_failure(sub) is None
                         sub_f = factorization_of(sub)
                         assert sub_f.tau.degree == d
                         for g in (sub_f, *perturbations(rng, sub_f)):

@@ -1,19 +1,22 @@
 """The command-line surface: flags, formats, exit codes."""
 
+import collections
 import dataclasses
 import gc
 import json
 import random
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from cyclefactor import cli
+from cyclefactor import cli, factorization, graph
 from cyclefactor import worked_example as we
+from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.cli import main
 from cyclefactor.graph import factorization_of
-from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_to_json
+from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_from_json, mnr_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,6 +65,23 @@ NOT_FACTORIZATIONS = [
     _fixture_factorization(_swap_adjacent),
     _fixture_factorization(_invert_one),
     '{"d":4,"tau":[1,2,3],"sigmas":[[1,4],[2,3]]}',  # (1 4) leaves supp(tau)
+]
+
+# A tree whose clockwise reading (1 2)(1 3) does not multiply to tau
+READING_NOT_TAU = '{"d":3,"S":[4,5],"edges":[[4,1],[4,2],[5,1],[5,3]],"tau":[1,2,3]}'
+
+# (direction, input fixture, gate runs, validate runs), each once and with
+# --roundtrip: the gate runs where convert reads a graph, validate inside it
+# and where convert reads a factorization, and nowhere else
+PROOFS = [
+    ("fac2graph", "factorization", (0, 1), (1, 2)),
+    ("graph2fac", "graph", (1, 1), (1, 2)),
+    ("graph2mnr", "graph", (1, 1), (1, 1)),
+    ("mnr2graph", "labeled_mnr", (0, 1), (0, 1)),
+    ("fac2mnr", "factorization", (0, 0), (1, 1)),
+    ("mnr2fac", "labeled_mnr", (0, 0), (0, 1)),
+    ("mnr2prufer", "mnr", (0, 0), (0, 0)),
+    ("prufer2mnr", "matrix", (0, 0), (0, 0)),
 ]
 
 # A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
@@ -417,6 +437,45 @@ class TestConvert:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestOneProofPerGraph:
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        """Counts of gate and validate calls, through every module that binds them."""
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name, fn in (("gate_failure", graph.gate_failure), ("validate", factorization.validate)):
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "cyclefactor"]:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        return counts
+
+    def test_arrows_trust_their_graph(self, proofs):
+        lm = unique_labeling(mnr_from_json(json.loads(we.MNR_JSON)))[0]
+        f = factorization_of(psi(lm))
+        assert phi_labeled(graph.graph_of(f)) == lm
+        graph.decompose_at_last(graph.graph_of(f))
+        assert proofs == {}
+
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize(
+        "direction,source,gates,validates", PROOFS, ids=[d for d, *_ in PROOFS]
+    )
+    def test_convert_proves_each_input_once(
+        self, capsys, proofs, direction, source, gates, validates, roundtrip
+    ):
+        argv = ["convert", "--direction", direction, "--input", str(FIXTURES / f"{source}.json")]
+        code, _, _ = run(capsys, *argv, *(["--roundtrip"] if roundtrip else []))
+        assert code == 0
+        assert (proofs["gate_failure"], proofs["validate"]) == (gates[roundtrip], validates[roundtrip])
+
+
 class TestVerify:
     def test_small_cap_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "3")
@@ -473,6 +532,13 @@ class TestExport:
     def test_unrecognized_input(self, capsys, monkeypatch):
         code, _, err = run(capsys, "export", stdin='{"x":1}', monkeypatch=monkeypatch)
         assert code == 2 and err
+
+    def test_non_factorization_graph_dot(self, capsys, monkeypatch):
+        # the gate sits in convert's reader, so export draws any S-[d] bipartite graph
+        code, out, err = run(capsys, "export", stdin=READING_NOT_TAU, monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        assert out.startswith("graph factorization {")
+        assert out.count(" -- ") == 4
 
 
 class TestPrufer:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cyclefactor.bijection import phi_labeled, psi, unique_labeling
+from cyclefactor.bijection import psi, unique_labeling
 from cyclefactor.factorization import (
     Factorization,
     FactorizationType,
@@ -21,6 +21,7 @@ from cyclefactor.graph import (
     default_svertices,
     enumerate_degree_graphs,
     factorization_of,
+    gate_failure,
     graph_from_json,
     graph_of,
     graph_to_dot,
@@ -89,7 +90,7 @@ class TestGraphOf:
         with pytest.raises(ValueError):
             graph_of(worked_factorization(), SVertexSet((21, 22)))
 
-    def test_invalid_factorization_rejected(self):
+    def test_invalid_factorization_rejected(self, assert_gate_rejects):
         # graph_of checks nothing; the reader and the gate reject the input
         tau = standard_cycle(3)
         bad = Factorization(
@@ -97,10 +98,7 @@ class TestGraphOf:
         )
         with pytest.raises(ValueError, match="^not a factorization: the ordered product is not tau$"):
             factorization_from_json(factorization_to_json(bad))
-        with pytest.raises(ValueError, match="^not a factorization graph"):
-            factorization_of(graph_of(bad))
-        with pytest.raises(ValueError, match="^not a factorization graph"):
-            phi_labeled(graph_of(bad))
+        assert_gate_rejects(graph_of(bad), "the clockwise reading does not multiply to tau")
 
 
 class TestFactorizationOf:
@@ -123,15 +121,14 @@ class TestFactorizationOf:
                     assert factorization_of(g) == f
                     assert graph_of(factorization_of(g)) == g
 
-    def test_error_names_condition(self):
+    def test_error_names_condition(self, assert_gate_rejects):
         g = FactorizationGraph(
             4,
             SVertexSet((5, 6)),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
         )
-        with pytest.raises(ValueError, match="not a tree"):
-            factorization_of(g)
+        assert_gate_rejects(g, "not a tree")
 
 
 class TestCpp:
@@ -187,7 +184,7 @@ class TestCicpp:
         )
         assert not has_cicpp(g, 19)
 
-    def test_component_wrapping_across_the_vertex_fails(self):
+    def test_component_wrapping_across_the_vertex_fails(self, assert_gate_rejects):
         # deleting 1 leaves {5, 2, 4} and {6, 3}: the arc 4, 2 runs through 1,
         # so the walk 4, 3, 2 meets the first component twice
         g = FactorizationGraph(
@@ -199,9 +196,7 @@ class TestCicpp:
         assert not has_cicpp(g, 1)
         assert characterization_failure(g) == "[d]-vertex 1 lacks CICPP"
         # the gate agrees: the tree's clockwise reading (1 2 4)(1 3) is not tau
-        for gated in (factorization_of, decompose_at_last):
-            with pytest.raises(ValueError, match="^not a factorization graph"):
-                gated(g)
+        assert_gate_rejects(g, "the clockwise reading does not multiply to tau")
 
     def test_missing_vertex(self):
         with pytest.raises(ValueError):
@@ -231,18 +226,11 @@ class TestCharacterization:
         assert failure is not None and "CICPP" in failure
 
     def test_predicate_carves_out_exactly_the_images_d4(self):
-        def gate_passes(g):
-            try:
-                factorization_of(g)
-            except ValueError:
-                return False
-            return True
-
         for e in genus0_types(4):
             passing = {
                 g.edges for g in enumerate_degree_graphs(4, e) if is_factorization_graph(g)
             }
-            gated = {g.edges for g in enumerate_degree_graphs(4, e) if gate_passes(g)}
+            gated = {g.edges for g in enumerate_degree_graphs(4, e) if gate_failure(g) is None}
             images = {
                 graph_of(f).edges
                 for f in enumerate_factorizations(4, standard_cycle(4), e)
@@ -311,6 +299,7 @@ class TestDecomposeAtLast:
                     assert lhs == rhs
                     # each multi-vertex subtree is the graph of its factors
                     for i in range(dec.k):
+                        assert gate_failure(dec.subtrees[i]) is None
                         sub_f = factorization_of(dec.subtrees[i])
                         assert sub_f.sigmas == tuple(
                             f.sigmas[j - 1] for j in sorted(dec.bsets[i])
@@ -336,7 +325,7 @@ class TestDecomposeAtLast:
         assert sum(dec.sizes) == d
         assert dec.k >= 1
         for sub in dec.subtrees[: dec.k]:
-            factorization_of(sub)
+            assert gate_failure(sub) is None
 
 
 class TestCollapse:
