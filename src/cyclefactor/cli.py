@@ -1,7 +1,8 @@
 """Command-line surface: count, enumerate, convert, verify, export, prufer.
 
 Exit codes: 0 success, 1 verification failure (or roundtrip/method
-mismatch), 2 invalid input, 3 brute-force cap exceeded.
+mismatch), 2 invalid input, 3 brute-force cap exceeded.  A reader that
+closes stdout early (``| head``) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -147,6 +149,8 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     count = 0
+    stats: dict = {}
+    start = time.perf_counter()
     if args.kind in ("factorization", "graph"):
         if args.d is None or args.e is None:
             raise ValueError("--d and --e are required for this kind")
@@ -154,7 +158,7 @@ def cmd_enumerate(args) -> int:
         _check_cap(args.d, args)
         FactorizationType(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
-        for f in enumerate_factorizations(args.d, tau, e):
+        for f in enumerate_factorizations(args.d, tau, e, stats):
             record = factorization_to_json(f) if args.kind == "factorization" else graph_to_json(graph_of(f))
             _emit(record, sys.stdout)
             count += 1
@@ -173,6 +177,9 @@ def cmd_enumerate(args) -> int:
     else:
         raise ValueError(f"unknown kind {args.kind!r}")
     print(f"count: {count}", file=sys.stderr)
+    if args.stats:
+        stats.update(outputs=count, seconds=round(time.perf_counter() - start, 6))
+        _emit(stats, sys.stderr)
     return 0
 
 
@@ -359,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-data")
     p.add_argument("--s", help="comma-separated S-vertex values")
     p.add_argument("--cap", type=int, help=f"degree cap for factorization and graph (default ${ENV_CAP} or 7)")
+    p.add_argument("--stats", action="store_true", help="after the count, one JSON line of search statistics on stderr")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="map an object across the bijections")
@@ -394,6 +402,13 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, with stdout on devnull so
+        # that the interpreter's last flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

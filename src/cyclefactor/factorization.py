@@ -7,8 +7,13 @@ stream:
 
 * genus 0 (``_walk_genus0``): each factor lies below the remaining target
   in absolute order, so it is taken from the target's own cycles, read in
-  cycle order, and a branch is entered only if the remaining lengths pack
-  exactly onto the cycles it leaves; every branch yields.
+  cycle order.  Candidates stream by their minimum, with no candidate
+  list: the other elements are chosen depth first in order of value (for
+  tau = (1 2 ... d), plain ``itertools.combinations`` order), a choice
+  whose arc the later lengths cannot fill is dropped as soon as the arc
+  closes, and a branch is entered only if the remaining lengths pack
+  exactly onto the cycles it leaves, so every branch yields.  Nodes wait
+  on an explicit stack, so no type is too deep to walk.
 * every genus (``_search``, the one search core): each factor is taken
   from a table of candidates, the last factor is solved for, and branches
   whose remaining target is too far (in Cayley distance) from the identity
@@ -17,7 +22,7 @@ stream:
   test for the last type and transitivity), and serves as the genus-0
   walker's oracle in ``verify`` and the tests.
 
-Both read cycles through the one cycle walker, ``perm.cycles_of``.
+The search core reads cycles through the one cycle walker, ``perm.cycles_of``.
 ``validate`` checks a given factorization in O(d + sum(e_i)): each factor
 changes the running product only on its own support.
 All counts are exact integers; Hurwitz numbers are exact rationals.
@@ -26,6 +31,7 @@ All counts are exact integers; Hurwitz numbers are exact rationals.
 from __future__ import annotations
 
 import itertools
+from array import array as typed_array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -202,90 +208,192 @@ def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...]):
 
 
 def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
-    """Whether the items (largest first) split into groups filling each bin exactly."""
-    if not items:
-        return True  # the bins' total always equals the items' total
-    first, rest = items[0], items[1:]
-    tried = set()
-    for i, room in enumerate(bins):
-        if room >= first and room not in tried:
-            tried.add(room)
-            if _packs(rest, bins[:i] + (room - first,) + bins[i + 1 :]):
-                return True
+    """Whether the items (largest first) split into groups filling each bin exactly.
+
+    The bins' total always equals the items', so once only unit items are
+    left they fill whatever room remains.  Until then each item in turn goes
+    into each distinct room that holds it, depth first on an explicit stack;
+    a state (items placed, rooms left) that failed once is not entered again.
+    """
+    end = items.index(1) if 1 in items else len(items)
+    if not end:
+        return True
+
+    def placements(i, rooms):
+        for j, room in enumerate(rooms):
+            if room >= items[i] and room not in rooms[:j]:
+                yield i + 1, tuple(sorted((*rooms[:j], room - items[i], *rooms[j + 1 :])))
+
+    seen = set()
+    stack = [placements(0, tuple(sorted(bins)))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+        elif state[0] == end:
+            return True
+        elif state not in seen:
+            seen.add(state)
+            stack.append(placements(*state))
     return False
 
 
-def _walk_genus0(cycles, e, k, items, fits, out):
-    """Yield factor-element tuples of a genus-0 type, sigma_{k+1} first.
+def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
+    """Yield the factor-element tuples of a genus-0 type, in lexicographic order.
 
-    ``cycles`` are the nontrivial cycles of the remaining target, each in
-    cycle order.  In genus 0, sigma_{k+1} lies below the target in absolute
-    order: its support is an e_k-subset of one target cycle, read in that
-    cycle's order, and sigma^{-1} * target cuts that cycle into e_k arcs,
-    each starting at a chosen element.  A child is entered only when the
-    remaining factors pack exactly onto its cycles, and any exact packing
-    completes, so every call yields at least once.
+    A node holds the nontrivial cycles of the remaining target.  In genus 0
+    sigma_{k+1} lies below the target in absolute order: its support is an
+    e_k-subset of one target cycle, read in that cycle's order from its
+    minimum m, and sigma^{-1} * target cuts that cycle into e_k arcs, each
+    starting at a chosen element.  Candidates stream by m in increasing
+    value; the other elements, all above m, are chosen depth first in
+    increasing value, and an arc is tested as soon as its end is chosen:
+    an arc of a elements is viable only if a - 1 is the sum of some of the
+    later (e_i - 1), counted with multiplicity.  A child is entered only if
+    the later lengths pack exactly onto its cycles, and any exact packing
+    completes, so every node yields; the last factor is tested in its
+    parent, and nodes wait on an explicit stack.
+
+    For tau = (1 2 ... d) every cycle of the target increases from its
+    minimum (the noncrossing-partition picture), so the elements above m
+    are the ones after it and the choices come in ``itertools.combinations``
+    order.  For any other tau the elements above m are sorted by value.
+
+    ``stats`` counts the nodes entered, the candidates tested and the dead
+    ends among them (candidates whose child fails the packing).
     """
-    ek = e[k]
-    if k == len(e) - 1:
-        c = cycles[0]  # the only one: the parent checked
-        i = c.index(min(c))
-        yield (*out, c[i:] + c[:i])
+    last = len(e) - 1
+    if not last:
+        yield (tau,)
         return
-    candidates = []
-    for ci, c in enumerate(cycles):
-        n = len(c)
-        if n < ek:
-            continue
-        for p in range(n):
-            # the candidates whose minimum is c[p], read from there
-            r = c[p:] + c[:p]
-            m = r[0]
-            later = [j for j in range(1, n) if r[j] > m]
-            for rest in itertools.combinations(later, ek - 1):
-                cut = (0, *rest)
-                candidates.append((tuple(r[j] for j in cut), ci, r, cut))
-    candidates.sort()  # elements are distinct, so only they are compared
-    last = k + 1 == len(e) - 1
-    for elems, ci, r, cut in candidates:
-        arcs = [r[a:b] for a, b in zip(cut, cut[1:] + (len(r),)) if b - a > 1]
-        child = cycles[:ci] + arcs + cycles[ci + 1 :]
-        if last:
-            ok = len(child) == 1  # and so it is an e_{k+1}-cycle
+    ordered = tau == tuple(range(1, len(tau) + 1))
+    # bit a of viable[k] is set iff a - 1 is the sum of some (e_i - 1), i > k
+    viable = [0] * last
+    sums = 1
+    for k in range(last, 0, -1):
+        sums |= sums << (e[k] - 1)
+        viable[k - 1] = sums << 1
+    fits: dict = {}
+
+    def packs(child, k):
+        lengths = tuple(sorted(map(len, child)))
+        ok = fits.get((k, lengths))
+        if ok is None:
+            items = tuple(sorted((ei - 1 for ei in e[k:]), reverse=True))
+            ok = fits[k, lengths] = _packs(items, tuple(n - 1 for n in lengths))
+        return ok
+
+    def minima(c, ci, ek):
+        # (m, ci, p) for each element m = c[p] with at least ek - 1 larger ones in c
+        if ordered:
+            return zip(c, itertools.repeat(ci), range(len(c) - ek + 1))
+        ps = sorted(range(len(c)), key=c.__getitem__)[: len(c) - ek + 1]
+        return zip(map(c.__getitem__, ps), itertools.repeat(ci), ps)
+
+    def children(cycles, k):
+        # (sigma_{k+1}, the child's cycles) for each candidate that passes, in order
+        stats["nodes"] += 1
+        ek, arcs_ok, leaf = e[k], viable[k], k + 1 == last
+        starts = [minima(c, ci, ek) for ci, c in enumerate(cycles) if len(c) >= ek]
+        # the cycles' runs of minima, merged by value
+        for m, ci, p in starts[0] if len(starts) == 1 else sorted(itertools.chain(*starts)):
+            c = cycles[ci]
+            n = len(c)
+            if ordered:  # the elements above m are the ones after it, in increasing value
+                r, first = c, p
+            else:  # read c from m, and take the elements above m by value
+                r, first = (*c[p:], *c[:p]), 0
+                later = [q for q in range(1, n) if r[q] > m]
+                after = {q: len(later) - i for i, q in enumerate(later, 1)}
+                later.sort(key=r.__getitem__)
+            others = cycles[:ci] + cycles[ci + 1 :]
+            end = n + first  # m's position once round the cycle, where the last arc ends
+            # sigma's positions in r, m's first; choices[i] iterates those for cut[i + 1]
+            cut, choices = [first], []
+            while cut:
+                if len(choices) < len(cut):  # the positions after q in value order, leaving room
+                    q, need = cut[-1], ek - 1 - len(cut)
+                    choices.append(
+                        iter(range(q + 1, n - need) if ordered else [x for x in later if x > q and after[x] >= need])
+                    )
+                for q in choices[-1]:
+                    if not arcs_ok >> (q - cut[-1]) & 1:
+                        continue
+                    if len(cut) < ek - 1:
+                        cut.append(q)
+                        break
+                    if not arcs_ok >> (end - q) & 1:
+                        continue
+                    stats["candidates"] += 1
+                    cut.append(q)
+                    sigma = tuple(map(r.__getitem__, cut))
+                    child = others + [r[a:b] for a, b in zip(cut, cut[1:]) if b - a > 1]
+                    cut.pop()
+                    tail = (*r[:first], *r[q:]) if first else r[q:]
+                    if len(tail) > 1:
+                        child.append(tail)
+                    if len(child) > 1 and (leaf or not packs(child, k + 1)):
+                        stats["dead_ends"] += 1
+                    else:
+                        yield sigma, child
+                else:
+                    choices.pop()
+                    cut.pop()
+
+    out = [None] * (last + 1)
+    # the root is a view, so the arcs sliced from it share its memory: a chain
+    # of d cuts would otherwise copy d^2 / 2 elements
+    stack = [children([memoryview(typed_array("q", tau))], 0)]
+    while stack:
+        k = len(stack) - 1
+        for sigma, child in stack[-1]:
+            out[k] = sigma
+            if k + 1 < last:
+                stack.append(children(child, k + 1))
+                break
+            c = tuple(child[0])  # the one e_last-cycle left; ordered, it starts at its minimum
+            if not ordered:
+                i = c.index(min(c))
+                c = c[i:] + c[:i]
+            out[last] = c
+            yield tuple(out)
         else:
-            key = (tuple(sorted(len(c) - 1 for c in child)), k + 1)
-            ok = fits.get(key)
-            if ok is None:
-                ok = fits[key] = _packs(items[k + 1], key[0])
-        if ok:
-            yield from _walk_genus0(child, e, k + 1, items, fits, (*out, elems))
+            stack.pop()
 
 
-def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...]):
+def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
     e = tuple(e)
     ftype = FactorizationType(d, e)  # validates lengths and genus
     if tau.degree != d or tau.length != d:
         raise ValueError(f"tau must be a {d}-cycle of degree {d}")
     if ftype.genus == 0:
-        # the (e_i - 1) still to place before sigma_{k+1} is chosen, largest first
-        items = [tuple(sorted((ei - 1 for ei in e[k:]), reverse=True)) for k in range(len(e))]
-        return _walk_genus0([tau.elements], e, 0, items, {}, ())
+        stats = {} if stats is None else stats
+        stats.update(nodes=0, candidates=0, dead_ends=0)
+        return _walk_genus0(tau.elements, e, stats)
     return _cayley_stream(d, tau, e)
 
 
-def enumerate_factorizations(d: int, tau: Cycle, e) -> Iterator[Factorization]:
+def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[Factorization]:
     """Stream every factorization of tau with factor lengths e, exactly once.
 
     The stream is in lexicographic order of the canonical factor sequences.
+    In genus 0 the walker counts into ``stats``, if given, the nodes it
+    enters, the candidate factors it tests and the dead ends among them.
     """
     e = tuple(e)
     ftype = FactorizationType(d, e)
-    stream = _stream_element_tuples(d, tau, e)
+    stream = _stream_element_tuples(d, tau, e, stats)
 
     def gen():
-        # both searches emit distinct, min-first elements inside supp(tau)
+        # both searches emit distinct, min-first elements inside supp(tau), and
+        # consecutive outputs share their leading factors' element tuples, so
+        # a factor's Cycle is built once and kept while its tuple lasts
+        previous = sigmas = (None,) * len(e)
         for elem_tuple in stream:
-            sigmas = tuple(Cycle._unchecked(d, elems) for elems in elem_tuple)
+            sigmas = tuple(
+                [s if x is y else Cycle._unchecked(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
+            )
+            previous = elem_tuple
             yield Factorization(ftype, tau, sigmas)
 
     return gen()

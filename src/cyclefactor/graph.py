@@ -256,9 +256,13 @@ def gate_failure(g: FactorizationGraph) -> str | None:
 def factorization_of(g: FactorizationGraph) -> Factorization:
     """Recover the factorization: read each S-vertex's neighbors clockwise.
 
-    It trusts g to be a factorization graph with at least one S-vertex;
-    ``gate_failure`` proves a graph read from outside.
+    It trusts g to be a factorization graph; ``gate_failure`` proves a graph
+    read from outside.
     """
+    if not g.svertices:
+        raise ValueError(
+            "the lone vertex is the graph of the empty factorization, which a Factorization cannot hold"
+        )
     circle = g.circle()
     sigmas = tuple(
         circle.clockwise_cycle(g.neighbors_of_s(s)) for s in g.svertices

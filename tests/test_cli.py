@@ -4,7 +4,9 @@ import collections
 import dataclasses
 import gc
 import json
+import os
 import random
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -66,6 +68,9 @@ NOT_FACTORIZATIONS = [
     _fixture_factorization(_invert_one),
     '{"d":4,"tau":[1,2,3],"sigmas":[[1,4],[2,3]]}',  # (1 4) leaves supp(tau)
 ]
+
+# The graph of the empty factorization of a 1-cycle
+LONE_VERTEX = '{"d":1,"S":[],"edges":[],"tau":[1]}'
 
 # A tree whose clockwise reading (1 2)(1 3) does not multiply to tau
 READING_NOT_TAU = '{"d":3,"S":[4,5],"edges":[[4,1],[4,2],[5,1],[5,3]],"tau":[1,2,3]}'
@@ -234,6 +239,48 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--kind", "mnr", "--vertex-data", "0,1")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "positive" in err
+
+    def test_stats(self, capsys):
+        argv = ("enumerate", "--kind", "factorization", "--d", "4", "--e", "2,2,2")
+        assert run(capsys, *argv)[2] == "count: 16\n"
+        code, out, err = run(capsys, *argv, "--stats")
+        count, line = err.splitlines()
+        stats = json.loads(line)
+        assert (code, count, len(out.splitlines())) == (0, "count: 16", 16)
+        assert list(stats) == ["nodes", "candidates", "dead_ends", "outputs", "seconds"]
+        # every candidate is a dead end, enters a node, or is an output
+        assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + stats["outputs"]
+        assert stats["outputs"] == 16 and stats["seconds"] >= 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--kind", "factorization", "--d", "3", "--e", "3,3"), ("--kind", "mnr", "--vertex-data", "1,1")],
+        ids=["genus-1", "mnr"],
+    )
+    def test_stats_without_walker(self, capsys, argv):
+        code, _, err = run(capsys, "enumerate", *argv, "--stats")
+        count, line = err.splitlines()
+        stats = json.loads(line)
+        assert (code, count, list(stats)) == (0, "count: 1", ["outputs", "seconds"])
+        assert stats["outputs"] == 1
+
+    def test_closed_stdout_ends_quietly(self):
+        # the reader keeps one line of 16,807 and closes the pipe, as `| head -1` does
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = ["enumerate", "--kind", "factorization", "--d", "7", "--e", "2,2,2,2,2,2", "--stats"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclefactor.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), err) == (0, b"")
+        finally:
+            proc.kill()
+        assert json.loads(first)["sigmas"][0] == [1, 2]
 
 
 class TestConvert:
@@ -415,6 +462,21 @@ class TestConvert:
         )
         assert (code, out) == (2, "")
         assert err == "error: not a factorization: the ordered product is not tau\n"
+
+    @pytest.mark.parametrize(
+        "direction,stdin",
+        [("graph2fac", LONE_VERTEX), ("mnr2fac", '{"S":[],"vertex_data":[1],"edges":[]}')],
+        ids=["graph", "tree"],
+    )
+    def test_lone_vertex_has_no_factorization(self, capsys, monkeypatch, direction, stdin):
+        code, out, err = run(capsys, "convert", "--direction", direction, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the lone vertex is the graph of the empty factorization, "
+            "which a Factorization cannot hold\n"
+        )
+        code, out, _ = run(capsys, "convert", "--direction", "graph2mnr", stdin=LONE_VERTEX, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["vertex_data"] == [1]
 
     def test_bad_json(self, capsys, monkeypatch):
         code, _, err = run(

@@ -156,29 +156,65 @@ class TestEnumeration:
                     for s in f.sigmas:
                         assert s == Cycle(d, s.elements)
 
-    def test_genus0_walker_nodes_per_output(self, monkeypatch):
-        from cyclefactor import factorization
+    def test_genus0_walker_nodes_per_output(self):
+        from cyclefactor.factorization import _stream_element_tuples
 
-        walk = factorization._walk_genus0
         for d in range(2, 9):
             for e in genus0_types(d):
-                calls = 0
-
-                def counted(*args):
-                    nonlocal calls
-                    calls += 1
-                    return walk(*args)
-
-                monkeypatch.setattr(factorization, "_walk_genus0", counted)
-                outputs = sum(
-                    1 for _ in factorization._stream_element_tuples(d, standard_cycle(d), e)
-                )
+                stats = {}
+                outputs = sum(1 for _ in _stream_element_tuples(d, standard_cycle(d), e, stats))
                 assert outputs == d ** (len(e) - 1)
-                assert calls <= 3 * outputs, (d, e, calls, outputs)
+                assert stats["nodes"] <= 3 * outputs, (d, e, stats, outputs)
+                assert stats["candidates"] < d * outputs, (d, e, stats, outputs)
+                # every candidate is a dead end, enters a node, or is an output
+                assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + outputs
+
+    def test_two_factor_type_at_d_100(self):
+        # listing the candidates first would mean all C(100, 51) subsets of the 100-cycle
+        fs = list(enumerate_factorizations(100, standard_cycle(100), (51, 50)))
+        assert len(set(fs)) == len(fs) == count_factorizations(100, (51, 50), "formula")
+        assert all(validate(f) for f in fs)
+        keys = [tuple(s.elements for s in f.sigmas) for f in fs]
+        assert keys == sorted(keys)
+
+    def test_first_transposition_factorization_at_d_1100(self):
+        # 1,099 factors: deeper than the interpreter's recursion limit
+        f = next(iter(enumerate_factorizations(1100, standard_cycle(1100), (2,) * 1099)))
+        assert validate(f)
+        assert f.sigmas[0].elements == (1, 2)
 
     def test_invalid_type_errors_before_streaming(self):
         with pytest.raises(ValueError):
             enumerate_factorizations(3, standard_cycle(3), (2, 2, 2))
+
+
+class TestPacks:
+    def test_matches_brute_force(self):
+        # oracle: try every assignment of the items to the bins
+        from cyclefactor.factorization import _packs
+
+        def brute(items, bins):
+            for where in itertools.product(range(len(bins)), repeat=len(items)):
+                filled = [0] * len(bins)
+                for item, b in zip(items, where):
+                    filled[b] += item
+                if filled == list(bins):
+                    return True
+            return False
+
+        for n in range(1, 6):
+            for items in itertools.combinations_with_replacement(range(4, 0, -1), n):
+                total = sum(items)
+                for bins in itertools.product(range(1, total + 1), repeat=3):
+                    if sum(bins) == total:
+                        assert _packs(items, bins) == brute(items, bins), (items, bins)
+
+    def test_more_items_than_the_recursion_limit(self):
+        from cyclefactor.factorization import _packs
+
+        assert _packs((2,) * 1101, (1100, 1102))
+        assert not _packs((2,) * 1101, (1, 2201))
+        assert _packs((3,) + (1,) * 1200, (600, 603))
 
 
 class TestCounts:
