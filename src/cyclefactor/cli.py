@@ -3,11 +3,17 @@
 Exit codes: 0 success, 1 verification failure (or roundtrip/method
 mismatch), 2 invalid input, 3 brute-force cap exceeded.  A reader that
 closes stdout early (``| head``) ends the command quietly with exit 0.
+
+The parser is built on the first ``main`` call and reused by every later
+call in the process.  Every JSON line goes through one compact encoder,
+and ``enumerate --kind factorization`` renders the part of a line that does
+not change, ``{"d":...,"tau":[...],"sigmas":``, once per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +65,7 @@ from .trees import (
 from .verify import run_checks
 
 ENV_CAP = "CYCLEFACTOR_MAX_D"
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -80,7 +87,7 @@ def _parse_cycle_index(text: str) -> dict[int, int]:
 
 
 def _emit(data: dict, stream) -> None:
-    stream.write(json.dumps(data, separators=(",", ":")) + "\n")
+    stream.write(_encode(data) + "\n")
 
 
 def _read_json(args) -> dict:
@@ -104,6 +111,8 @@ def _check_cap(d: int, args) -> None:
 
 
 def cmd_count(args) -> int:
+    if args.stats and args.method not in ("bruteforce", "all"):
+        raise ValueError("--stats reports the brute-force search: use --method bruteforce or all")
     if (args.e is None) == (args.cycle_index is None):
         raise ValueError("give exactly one of --e or --cycle-index")
     if args.cycle_index is not None:
@@ -120,6 +129,7 @@ def cmd_count(args) -> int:
     e = _parse_int_list(args.e, "--e")
     d = args.d
     methods = ["bruteforce", "formula", "bijection"] if args.method == "all" else [args.method]
+    stats: dict = {}
 
     def one(method: str):
         if method == "bruteforce":
@@ -129,7 +139,10 @@ def cmd_count(args) -> int:
                 for ei in e[:-1]:
                     prefixes *= comb(d, ei) * factorial(ei - 1)
                 print(f"search space: up to {prefixes} factor prefixes", file=sys.stderr)
-        value = count_factorizations(d, e, method)
+        start = time.perf_counter()
+        value = count_factorizations(d, e, method, stats)
+        if method == "bruteforce":
+            stats.update(outputs=value, seconds=round(time.perf_counter() - start, 6))
         return Fraction(value, d) if args.hurwitz else value
 
     values = [one(m) for m in methods]
@@ -144,6 +157,8 @@ def cmd_count(args) -> int:
             print(v)
         if args.method == "all":
             print(verdict)
+    if args.stats:
+        _emit(stats, sys.stderr)
     return 0 if args.method != "all" or verdict == "MATCH" else 1
 
 
@@ -158,9 +173,14 @@ def cmd_enumerate(args) -> int:
         _check_cap(args.d, args)
         FactorizationType(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
+        # factorization_to_json(f), with its fixed d and tau rendered once
+        head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":'
+        write = sys.stdout.write
         for f in enumerate_factorizations(args.d, tau, e, stats):
-            record = factorization_to_json(f) if args.kind == "factorization" else graph_to_json(graph_of(f))
-            _emit(record, sys.stdout)
+            if args.kind == "factorization":
+                write(head + _encode([s.elements for s in f.sigmas]) + "}\n")
+            else:
+                _emit(graph_to_json(graph_of(f)), sys.stdout)
             count += 1
     elif args.kind == "mnr":
         if args.vertex_data is None:
@@ -357,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurwitz", action="store_true", help="divide by d (Hurwitz normalization)")
     p.add_argument("--cap", type=int, help=f"brute-force degree cap (default ${ENV_CAP} or 7)")
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.add_argument("--stats", action="store_true", help="after the result, one JSON line of search statistics on stderr")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="stream objects as JSON lines")
@@ -394,9 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

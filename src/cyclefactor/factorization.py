@@ -110,6 +110,15 @@ class Factorization:
         if any(s.degree != self.tau.degree for s in self.sigmas):
             raise ValueError("factors must share tau's ambient degree")
 
+    @classmethod
+    def _unchecked(cls, ftype: FactorizationType, tau: Cycle, sigmas: tuple[Cycle, ...]) -> Factorization:
+        """A factorization whose tau has length ftype.d and whose factors share its degree."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "ftype", ftype)
+        object.__setattr__(f, "tau", tau)
+        object.__setattr__(f, "sigmas", sigmas)
+        return f
+
     @property
     def d(self) -> int:
         return self.ftype.d
@@ -387,23 +396,26 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
     def gen():
         # both searches emit distinct, min-first elements inside supp(tau), and
         # consecutive outputs share their leading factors' element tuples, so
-        # a factor's Cycle is built once and kept while its tuple lasts
+        # a factor's Cycle is built once and kept while its tuple lasts; the
+        # stream has checked tau, so the factorization is built unchecked
         previous = sigmas = (None,) * len(e)
         for elem_tuple in stream:
             sigmas = tuple(
                 [s if x is y else Cycle._unchecked(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
             )
             previous = elem_tuple
-            yield Factorization(ftype, tau, sigmas)
+            yield Factorization._unchecked(ftype, tau, sigmas)
 
     return gen()
 
 
-def count_factorizations(d: int, e, method: str = "bruteforce") -> int:
+def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | None = None) -> int:
     """Count factorizations of a d-cycle with factor lengths e.
 
     method:
-      * ``bruteforce`` counts the enumeration stream (any genus);
+      * ``bruteforce`` counts the enumeration stream (any genus), and in
+        genus 0 counts the walk into ``stats`` as ``enumerate_factorizations``
+        does;
       * ``formula`` returns d^(r-2), valid only in genus 0;
       * ``bijection`` routes through the tree-family cardinality that the
         encoding maps factorizations onto, also genus 0 only.
@@ -411,7 +423,7 @@ def count_factorizations(d: int, e, method: str = "bruteforce") -> int:
     e = tuple(e)
     ftype = FactorizationType(d, e)
     if method == "bruteforce":
-        return sum(1 for _ in _stream_element_tuples(d, standard_cycle(d), e))
+        return sum(1 for _ in _stream_element_tuples(d, standard_cycle(d), e, stats))
     if ftype.genus != 0:
         raise ValueError(f"method {method!r} requires genus 0, got genus {ftype.genus}")
     if method == "formula":

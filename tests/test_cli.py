@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import random
@@ -17,8 +18,11 @@ from cyclefactor import cli, factorization, graph
 from cyclefactor import worked_example as we
 from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.cli import main
-from cyclefactor.graph import factorization_of
+from cyclefactor.factorization import enumerate_factorizations, factorization_to_json
+from cyclefactor.graph import factorization_of, graph_of, graph_to_json
+from cyclefactor.perm import standard_cycle
 from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_from_json, mnr_to_json
+from cyclefactor.verify import genus0_types
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +73,19 @@ NOT_FACTORIZATIONS = [
     '{"d":4,"tau":[1,2,3],"sigmas":[[1,4],[2,3]]}',  # (1 4) leaves supp(tau)
 ]
 
+# SHA-256 of `enumerate` stdout, stderr and exit code over every genus-0 type
+# at d <= 6, both kinds, in the order of stream_digest; computed before the
+# line writer rendered the constant head of a factorization once per call
+ENUMERATE_DIGEST_D6 = "eef0b51b63019c3c0971cee7e4eb06754cdcf72dddfb3d5dad7284e4e229577e"
+
+# (d, type) pairs whose numbers run to two digits, compared line by line
+# with the library stream; the last is genus 1
+WIDE_TYPES = [
+    (10, (5, 6)), (10, (2, 9)), (10, (4, 4, 4)), (10, (10,)),
+    (12, (6, 7)), (12, (3, 5, 6)), (12, (12,)),
+    (5, (2, 2, 2, 2, 2, 2)),
+]
+
 # The graph of the empty factorization of a 1-cycle
 LONE_VERTEX = '{"d":1,"S":[],"edges":[],"tau":[1]}'
 
@@ -106,6 +123,67 @@ def run(capsys, *argv, stdin=None, monkeypatch=None):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stream_digest(capsys, max_d):
+    h = hashlib.sha256()
+    for d in range(2, max_d + 1):
+        for e in genus0_types(d):
+            for kind in ("factorization", "graph"):
+                argv = ("enumerate", "--kind", kind, "--d", str(d), "--e", ",".join(map(str, e)))
+                code, out, err = run(capsys, *argv)
+                h.update(f"{out}{err}exit {code}\n".encode())
+    return h.hexdigest()
+
+
+def library_lines(d, e, kind):
+    """The JSON lines of the library stream, each written by json.dumps."""
+    record = factorization_to_json if kind == "factorization" else lambda f: graph_to_json(graph_of(f))
+    return [
+        json.dumps(record(f), separators=(",", ":"))
+        for f in enumerate_factorizations(d, standard_cycle(d), e)
+    ]
+
+
+class TestOneParser:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self, monkeypatch):
+        monkeypatch.delenv("CYCLEFACTOR_MAX_D", raising=False)
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        for argv in (
+            ("count", "--d", "4", "--e", "2,2,2"),
+            ("enumerate", "--kind", "factorization", "--d", "3", "--e", "2,2"),
+            ("enumerate", "--kind", "mnr", "--vertex-data", "1,1"),
+        ):
+            assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+
+    def test_stats_does_not_carry_over(self, capsys):
+        argv = ("enumerate", "--kind", "factorization", "--d", "4", "--e", "2,2,2")
+        assert len(run(capsys, *argv, "--stats")[2].splitlines()) == 2
+        code, out, err = run(capsys, *argv)
+        assert (code, len(out.splitlines()), err) == (0, 16, "count: 16\n")
+
+    def test_cap_does_not_carry_over(self, capsys):
+        argv = ("count", "--method", "bruteforce", "--d", "8", "--e", "8")
+        assert run(capsys, *argv, "--cap", "8")[:2] == (0, "1\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: degree 8 exceeds the cap 7; pass --cap to override\n"
+
+    def test_parse_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--kind", "tree"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(capsys, "count", "--d", "4", "--e", "2,2,2") == (0, "16\n", "")
 
 
 class TestCount:
@@ -173,6 +251,30 @@ class TestCount:
         monkeypatch.setenv("CYCLEFACTOR_MAX_D", "5")
         code, _, err = run(capsys, "count", "--d", "6", "--e", "2,2,2,2,2", "--method", "bruteforce")
         assert code == 3 and "cap" in err
+
+    def test_stats(self, capsys):
+        argv = ("count", "--d", "5", "--e", "2,2,2,2", "--method", "bruteforce")
+        assert run(capsys, *argv) == (0, "125\n", "")
+        code, out, err = run(capsys, *argv, "--stats")
+        stats = json.loads(err)
+        assert (code, out, list(stats)) == (0, "125\n", ["nodes", "candidates", "dead_ends", "outputs", "seconds"])
+        assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + stats["outputs"]
+        assert stats["outputs"] == 125 and stats["seconds"] >= 0
+
+    def test_stats_positive_genus(self, capsys):
+        code, out, err = run(capsys, "count", "--d", "5", "--e", "2,2,2,2,2,2", "--method", "bruteforce", "--stats")
+        stats = json.loads(err)
+        assert (code, out, list(stats), stats["outputs"]) == (0, "15625\n", ["outputs", "seconds"], 15625)
+
+    def test_stats_with_all_methods(self, capsys):
+        code, out, err = run(capsys, "count", "--d", "4", "--e", "2,2,2", "--method", "all", "--hurwitz", "--stats")
+        assert (code, out, json.loads(err)["outputs"]) == (0, "4\n4\n4\nMATCH\n", 16)
+
+    @pytest.mark.parametrize("argv", [("--e", "2,2,2,2"), ("--cycle-index", "2:4")], ids=["e", "cycle-index"])
+    def test_stats_needs_bruteforce(self, capsys, argv):
+        code, out, err = run(capsys, "count", "--d", "5", *argv, "--stats")
+        assert (code, out) == (2, "")
+        assert err == "error: --stats reports the brute-force search: use --method bruteforce or all\n"
 
     @pytest.mark.parametrize(
         "argv,flag,text",
@@ -263,6 +365,18 @@ class TestEnumerate:
         stats = json.loads(line)
         assert (code, count, list(stats)) == (0, "count: 1", ["outputs", "seconds"])
         assert stats["outputs"] == 1
+
+    def test_stream_bytes_pinned(self, capsys):
+        assert stream_digest(capsys, 6) == ENUMERATE_DIGEST_D6
+
+    @pytest.mark.parametrize("kind", ["factorization", "graph"])
+    @pytest.mark.parametrize("d,e", WIDE_TYPES, ids=[f"{d}-{e}" for d, e in WIDE_TYPES])
+    def test_wide_numbers_match_library_stream(self, capsys, d, e, kind):
+        argv = ("--kind", kind, "--d", str(d), "--e", ",".join(map(str, e)), "--cap", str(d))
+        code, out, err = run(capsys, "enumerate", *argv)
+        lines = library_lines(d, e, kind)
+        assert (code, err) == (0, f"count: {len(lines)}\n")
+        assert out.splitlines() == lines
 
     def test_closed_stdout_ends_quietly(self):
         # the reader keeps one line of 16,807 and closes the pipe, as `| head -1` does
