@@ -17,10 +17,12 @@ stream:
 * every genus (``_search``, the one search core): each factor is taken
   from a table of candidates, the last factor is solved for, and branches
   whose remaining target is too far (in Cayley distance) from the identity
-  for the remaining lengths are pruned.  It runs the positive-genus stream,
-  the brute-force Hurwitz count (tables of whole conjugacy classes, a leaf
-  test for the last type and transitivity), and serves as the genus-0
-  walker's oracle in ``verify`` and the tests.
+  for the remaining lengths are pruned.  The last two factors are solved
+  once per distinct target, and nodes wait on an explicit stack.  It runs
+  the positive-genus stream, the brute-force Hurwitz count (tables of whole
+  conjugacy classes, a leaf test for the last type, transitivity filtered
+  from the stream), and serves as the genus-0 walker's oracle in ``verify``
+  and the tests.
 
 The search core reads cycles through the one cycle walker, ``perm.cycles_of``.
 ``validate`` checks a given factorization in O(d + sum(e_i)): each factor
@@ -169,7 +171,7 @@ def _cycle_tables(d: int, e: int) -> list[tuple[tuple[int, ...], tuple[int, ...]
 def _single_cycle(length: int):
     """A leaf test: the moved points in cycle order, if the target is one `length`-cycle."""
 
-    def leaf(imgs, _):
+    def leaf(imgs):
         moved = [x for x, y in enumerate(imgs, 1) if x != y]
         if len(moved) != length:
             return None
@@ -179,7 +181,7 @@ def _single_cycle(length: int):
     return leaf
 
 
-def _search(target, tables, budgets, leaf, out=()):
+def _search(target, tables, budgets, leaf, stats: dict | None = None):
     """Depth-first search over one factor per table, the last factor solved.
 
     ``target`` is what the factors still to choose must multiply to;
@@ -187,33 +189,73 @@ def _search(target, tables, budgets, leaf, out=()):
     choosing it turns the target into sigma^{-1} * target.  A branch is cut
     when the target is further from the identity, in Cayley distance, than
     ``budgets[k]``, the index the remaining factors can add up to.  After the
-    last table, ``leaf(target, keys)`` returns the solved last entry or None;
-    the search yields (*keys, entry) for every entry that is not None.
+    last table, ``leaf(target)`` returns the solved last entry or None; the
+    search yields (*keys, entry) for every entry that is not None.
+
+    The pairs (key, entry) of the last two factors depend only on the target
+    the last table starts from, so they are solved once per distinct target
+    and kept for this call.  Nodes wait on an explicit stack.  ``stats``
+    counts the nodes entered (the root and every stacked child), the
+    distinct targets solved and the reuses of a solved target.
     """
-    k = len(out)
-    if k == len(tables):
-        hit = leaf(target, out)
+    stats = {} if stats is None else stats
+    stats.update(nodes=1, targets=0, reuses=0)
+    last = len(tables) - 1
+    if last < 0:
+        hit = leaf(target)
         if hit is not None:
-            yield (*out, hit)
+            yield (hit,)
         return
-    if len(target) - len(cycles_of(target)) > budgets[k]:
+    solved: dict = {}
+
+    def far(target, k):  # further from the identity than the factors from k on reach
+        return len(target) - len(cycles_of(target)) > budgets[k]
+
+    def pairs(target):
+        # (key, entry) for each last-table key whose solved last factor exists
+        found = solved.get(target)
+        if found is not None:
+            stats["reuses"] += 1
+            return found
+        stats["targets"] += 1
+        found = () if far(target, last) else tuple(
+            (key, hit) for key, inv in tables[last] if (hit := leaf(tuple(inv[y - 1] for y in target))) is not None
+        )
+        solved[target] = found
+        return found
+
+    if not last:
+        yield from pairs(target)
         return
-    deeper = k + 1 < len(tables)
-    for key, inv in tables[k]:
-        child = tuple(inv[y - 1] for y in target)
-        if deeper:
-            yield from _search(child, tables, budgets, leaf, (*out, key))
-        elif (hit := leaf(child, (*out, key))) is not None:
-            yield (*out, key, hit)  # tested here: a generator per leaf would cost more
+    if far(target, 0):
+        return
+    out = [None] * last
+    stack = [(target, iter(tables[0]))]
+    while stack:
+        k = len(stack) - 1
+        target, children = stack[-1]
+        for key, inv in children:
+            out[k] = key
+            child = tuple(inv[y - 1] for y in target)
+            if k + 1 < last:
+                if not far(child, k + 1):
+                    stats["nodes"] += 1
+                    stack.append((child, iter(tables[k + 1])))
+                    break
+            else:
+                for pair in pairs(child):
+                    yield (*out, *pair)
+        else:
+            stack.pop()
 
 
-def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...]):
+def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
     """The `_search` stream for any genus; tau and e are already validated."""
     target = tau.to_permutation().images
     # remaining Cayley-distance budget before sigma_{k+1} is chosen
     budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
     by_length = {ei: _cycle_tables(d, ei) for ei in set(e[:-1])}
-    return _search(target, [by_length[ei] for ei in e[:-1]], budgets, _single_cycle(e[-1]))
+    return _search(target, [by_length[ei] for ei in e[:-1]], budgets, _single_cycle(e[-1]), stats)
 
 
 def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
@@ -379,7 +421,7 @@ def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...], stats: dict |
         stats = {} if stats is None else stats
         stats.update(nodes=0, candidates=0, dead_ends=0)
         return _walk_genus0(tau.elements, e, stats)
-    return _cayley_stream(d, tau, e)
+    return _cayley_stream(d, tau, e, stats)
 
 
 def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[Factorization]:
@@ -487,21 +529,14 @@ def pure_cycle_datum(d: int, e) -> HurwitzDatum:
 
 
 def _transitive(perms_images, d: int) -> bool:
-    # union-find over [d], joining x with its image under every factor
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for imgs in perms_images:
-        for x in range(d):
-            a, b = find(x), find(imgs[x] - 1)
-            if a != b:
-                parent[a] = b
-    return sum(1 for x in range(d) if find(x) == x) == 1
+    # the orbit of 1 under the factors is all of [d]
+    orbit, seen = [1], {1}
+    for x in orbit:
+        for imgs in perms_images:
+            if (y := imgs[x - 1]) not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return len(orbit) == d
 
 
 def hurwitz_count_bruteforce(h: HurwitzDatum, max_degree: int = 6) -> Fraction:
@@ -532,12 +567,10 @@ def hurwitz_count_bruteforce(h: HurwitzDatum, max_degree: int = 6) -> Fraction:
     # remaining index budget before sigma_{k+1} is chosen
     budgets = [sum(index(t) for t in h.lambdas[k:]) for k in range(h.r)]
 
-    def leaf(target, factors):
-        if type_of(target) == last_type and _transitive(factors + (target,), d):
-            return target
-        return None
+    def leaf(target):
+        return target if type_of(target) == last_type else None
 
-    count = sum(1 for _ in _search(tuple(range(1, d + 1)), tables, budgets, leaf))
+    count = sum(1 for fs in _search(tuple(range(1, d + 1)), tables, budgets, leaf) if _transitive(fs, d))
     return Fraction(count, factorial(d))
 
 

@@ -264,7 +264,11 @@ class TestCount:
     def test_stats_positive_genus(self, capsys):
         code, out, err = run(capsys, "count", "--d", "5", "--e", "2,2,2,2,2,2", "--method", "bruteforce", "--stats")
         stats = json.loads(err)
-        assert (code, out, list(stats), stats["outputs"]) == (0, "15625\n", ["outputs", "seconds"], 15625)
+        assert (code, out, list(stats)) == (0, "15625\n", ["nodes", "targets", "reuses", "outputs", "seconds"])
+        # 1 + 10 + 100 + 1000 nodes; their 10,000 children are the 60 even permutations of S_5,
+        # each solved once
+        assert (stats["nodes"], stats["targets"], stats["outputs"]) == (1111, 60, 15625)
+        assert stats["targets"] + stats["reuses"] == 10000
 
     def test_stats_with_all_methods(self, capsys):
         code, out, err = run(capsys, "count", "--d", "4", "--e", "2,2,2", "--method", "all", "--hurwitz", "--stats")
@@ -355,16 +359,31 @@ class TestEnumerate:
         assert stats["outputs"] == 16 and stats["seconds"] >= 0
 
     @pytest.mark.parametrize(
-        "argv",
-        [("--kind", "factorization", "--d", "3", "--e", "3,3"), ("--kind", "mnr", "--vertex-data", "1,1")],
+        "argv,counts",
+        [
+            (("--kind", "factorization", "--d", "3", "--e", "3,3"), {"nodes": 1, "targets": 1, "reuses": 0}),
+            (("--kind", "mnr", "--vertex-data", "1,1"), {}),
+        ],
         ids=["genus-1", "mnr"],
     )
-    def test_stats_without_walker(self, capsys, argv):
+    def test_stats_without_walker(self, capsys, argv, counts):
         code, _, err = run(capsys, "enumerate", *argv, "--stats")
         count, line = err.splitlines()
         stats = json.loads(line)
-        assert (code, count, list(stats)) == (0, "count: 1", ["outputs", "seconds"])
-        assert stats["outputs"] == 1
+        assert (code, count, list(stats)) == (0, "count: 1", [*counts, "outputs", "seconds"])
+        assert {k: stats[k] for k in counts} == counts and stats["outputs"] == 1
+
+    def test_genus2_stream_pinned(self, capsys):
+        # the fixture is the stream of the recursive search core, one factorization per line
+        lines = (FIXTURES / "enumerate_d5_3333.txt").read_text().splitlines()
+        expected = [
+            json.dumps({"d": 5, "tau": [1, 2, 3, 4, 5], "sigmas": [list(map(int, s)) for s in line.split()]},
+                       separators=(",", ":"))
+            for line in lines
+        ]
+        code, out, err = run(capsys, "enumerate", "--kind", "factorization", "--d", "5", "--e", "3,3,3,3")
+        assert (code, err, len(lines)) == (0, "count: 2625\n", 2625)
+        assert out.splitlines() == expected
 
     def test_stream_bytes_pinned(self, capsys):
         assert stream_digest(capsys, 6) == ENUMERATE_DIGEST_D6

@@ -123,6 +123,22 @@ class TestEnumeration:
         got = list(_search(start, tables, budgets, _single_cycle(e[-1])))
         assert got == [tuple(s.elements for s in target.sigmas)]
 
+    def test_search_has_no_depth_limit(self):
+        # (1 2)(2 3)...(1999 2000) through 1,998 one-entry tables: one level
+        # per factor, far past the interpreter's recursion limit
+        from cyclefactor.factorization import _search, _single_cycle
+
+        d = 2000
+        path = [(i, i + 1) for i in range(1, d)]
+        tables = []
+        for a, b in path[:-1]:
+            inv = list(range(1, d + 1))
+            inv[a - 1], inv[b - 1] = b, a
+            tables.append([((a, b), tuple(inv))])
+        start = standard_cycle(d).to_permutation().images
+        got = list(_search(start, tables, list(range(d - 1, 0, -1)), _single_cycle(2)))
+        assert got == [tuple(path)]
+
     def test_stream_validates_and_is_duplicate_free(self):
         for d in range(2, 7):
             for e in genus0_types(d):
@@ -298,6 +314,11 @@ class TestHurwitzBruteforce:
     def test_riemann_hurwitz_filter(self):
         with pytest.raises(ValueError):
             HurwitzDatum(3, 2, 0, (CycleType((2, 1)), CycleType((2, 1))))
+
+    def test_disconnected_tuples_are_dropped(self):
+        # many tuples multiply to the identity without joining [4], (1 2) six times among them
+        h = HurwitzDatum(4, 6, 0, (CycleType((2, 1, 1)),) * 6)
+        assert hurwitz_count_bruteforce(h) == formula_hurwitz_simple(4, 6, CycleType((2, 1, 1))) == 120
 
     def test_cap(self):
         datum = pure_cycle_datum(7, (2,) * 6 + (7,))
