@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FactorizationGraph, SVertexSet
+from .graph import FactorizationGraph, SVertexSet, check_svertices
 from .perm import standard_cycle
 from .trees import LabeledMNR, MultiNodedRootedTree, RootedTree
 
@@ -76,12 +76,13 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     """Unfold a labeled multi-noded rooted tree into an S-[d] bipartite tree.
 
     Each S-vertex is joined to the labels of its own nodes and to the label
-    of the parent node it hangs from.  Total on labeled trees; whether the
-    result is a factorization graph is exactly the characterization
-    predicate.
+    of the parent node it hangs from.  Total on labeled trees whose
+    S-vertices avoid [0, d]; whether the result is a factorization graph is
+    exactly the characterization predicate.
     """
     m = lm.mnr
     d = m.total_nodes
+    check_svertices(d, m.tree.svertices)
     edges = set()
     for s in m.tree.svertices:
         for pos in range(1, m.f_of(s) + 1):

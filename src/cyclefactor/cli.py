@@ -96,7 +96,11 @@ def _read_json(args) -> dict:
             text = handle.read()
     else:
         text = sys.stdin.read()
-    return mapping(json.loads(text), "input")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("input nests too deeply to parse") from None
+    return mapping(data, "input")
 
 
 def _default_cap() -> int:
@@ -266,6 +270,8 @@ def _convert(direction: str, data: dict):
     source, target = _DIRECTIONS[direction]
     read = value = _read(source, data)
     if direction == "fac2mnr":
+        if genus := value.ftype.genus:
+            raise ValueError(f"a genus-{genus} factorization has no multi-noded tree: only genus 0 folds")
         value, relabel = standardize(value)
     for arrow in _arrows(source, target):
         value = arrow(value)

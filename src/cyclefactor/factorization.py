@@ -98,28 +98,14 @@ class Factorization:
 
     ``ftype.d`` is the length of tau; the ambient degree is ``tau.degree``.
     The two coincide for factorizations of a full d-cycle, and differ for the
-    sub-factorizations living on a sub-circle.
+    sub-factorizations living on a sub-circle.  A plain record: the reader,
+    ``factorization_from_json``, checks outside data, and ``validate`` proves
+    a hand-built value.
     """
 
     ftype: FactorizationType
     tau: Cycle
     sigmas: tuple[Cycle, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigmas", tuple(self.sigmas))
-        if self.tau.length != self.ftype.d:
-            raise ValueError(f"tau must be a {self.ftype.d}-cycle")
-        if any(s.degree != self.tau.degree for s in self.sigmas):
-            raise ValueError("factors must share tau's ambient degree")
-
-    @classmethod
-    def _unchecked(cls, ftype: FactorizationType, tau: Cycle, sigmas: tuple[Cycle, ...]) -> Factorization:
-        """A factorization whose tau has length ftype.d and whose factors share its degree."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "ftype", ftype)
-        object.__setattr__(f, "tau", tau)
-        object.__setattr__(f, "sigmas", sigmas)
-        return f
 
     @property
     def d(self) -> int:
@@ -438,15 +424,14 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
     def gen():
         # both searches emit distinct, min-first elements inside supp(tau), and
         # consecutive outputs share their leading factors' element tuples, so
-        # a factor's Cycle is built once and kept while its tuple lasts; the
-        # stream has checked tau, so the factorization is built unchecked
+        # a factor's Cycle is built once and kept while its tuple lasts
         previous = sigmas = (None,) * len(e)
         for elem_tuple in stream:
             sigmas = tuple(
                 [s if x is y else Cycle._unchecked(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
             )
             previous = elem_tuple
-            yield Factorization._unchecked(ftype, tau, sigmas)
+            yield Factorization(ftype, tau, sigmas)
 
     return gen()
 

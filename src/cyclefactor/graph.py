@@ -12,7 +12,9 @@ have degree >= 2 is a factorization graph iff reading each S-vertex's
 neighbors clockwise gives cycles that multiply to tau.  Such a tree is the
 graph of that reading, and every factorization graph reads clockwise.  CICPP
 stays the paper's theorem; ``verify`` checks that it carves out the same set.
-The gate runs where a graph is read from outside; the arrows trust theirs.
+``FactorizationGraph`` is a plain record: ``graph_from_json`` checks that
+outside data is an S-[d] bipartite graph, the gate proves a graph read from
+outside or built by hand, and the arrows build and trust theirs.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class FactorizationGraph:
 
     The [d]-side is the support of ``tau`` (the full [1, d] for whole graphs;
     a sub-circle for the subtrees produced by :func:`decompose_at_last`).
+    A plain record: the constructor only builds the adjacency of the frozenset
+    ``edges``; ``graph_from_json`` checks outside data, and ``gate_failure``
+    proves a hand-built graph.
     """
 
     d: int
@@ -71,19 +76,10 @@ class FactorizationGraph:
     _v_adj: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.tau.degree != self.d:
-            raise ValueError("tau must live in degree d")
-        if any(0 <= s <= self.d for s in self.svertices):
-            raise ValueError(f"S-vertices must avoid [0, {self.d}]")
-        edges = frozenset((int(s), int(v)) for s, v in self.edges)
-        object.__setattr__(self, "edges", edges)
-        sset = set(self.svertices)
-        vset = self.tau.support
         s_adj: dict[int, list[int]] = {s: [] for s in self.svertices}
-        v_adj: dict[int, list[int]] = {v: [] for v in vset}
-        for s, v in sorted(edges):
-            if s not in sset or v not in vset:
-                raise ValueError(f"edge ({s}, {v}) is not S-to-[d]")
+        v_adj: dict[int, list[int]] = {v: [] for v in self.tau.elements}
+        # sorted, so that each [d]-vertex lists its S-neighbors increasing
+        for s, v in sorted(self.edges):
             s_adj[s].append(v)
             v_adj[v].append(s)
         object.__setattr__(self, "_s_adj", {s: tuple(vs) for s, vs in s_adj.items()})
@@ -357,15 +353,25 @@ def graph_to_json(g: FactorizationGraph) -> dict:
     }
 
 
+def check_svertices(d: int, svertices) -> None:
+    """Refuse S-vertices that collide with the root 0 or a [d]-vertex."""
+    if any(0 <= s <= d for s in svertices):
+        raise ValueError(f"S-vertices must avoid [0, {d}]")
+
+
 def graph_from_json(data: dict) -> FactorizationGraph:
+    """Read any S-[d] bipartite graph; ``gate_failure`` decides membership."""
     d, svertices, edges, tau = fields(data, "d", "S", "edges", "tau")
     d = integer(d, "d")
-    return FactorizationGraph(
-        d,
-        SVertexSet(tuple(sorted(integers(svertices, "S")))),
-        frozenset(pairs(edges, "edges")),
-        Cycle(d, integers(tau, "tau")),
-    )
+    svertices = SVertexSet(tuple(sorted(integers(svertices, "S"))))
+    edges = frozenset(pairs(edges, "edges"))
+    tau = Cycle(d, integers(tau, "tau"))
+    check_svertices(d, svertices)
+    sset, vset = set(svertices), tau.support
+    for s, v in sorted(edges):
+        if s not in sset or v not in vset:
+            raise ValueError(f"edge ({s}, {v}) is not S-to-[d]")
+    return FactorizationGraph(d, svertices, edges, tau)
 
 
 def graph_to_dot(g: FactorizationGraph) -> str:

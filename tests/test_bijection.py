@@ -24,7 +24,9 @@ from cyclefactor.graph import (
     decompose_at_last,
     factorization_of,
     gate_failure,
+    graph_from_json,
     graph_of,
+    graph_to_json,
     is_factorization_graph,
 )
 from cyclefactor.perm import Cycle, product, standard_cycle
@@ -56,6 +58,14 @@ def genus0_types(d):
 def star_graph(d):
     tau = standard_cycle(d)
     return graph_of(Factorization(FactorizationType(d, (d,)), tau, (tau,)))
+
+
+def assert_reads_back(g):
+    """An arrow-built graph equals the graph read from its JSON, adjacency included."""
+    read = graph_from_json(graph_to_json(g))
+    assert read == g
+    assert all(read.neighbors_of_s(s) == g.neighbors_of_s(s) for s in g.svertices)
+    assert all(read.neighbors_of_v(v) == g.neighbors_of_v(v) for v in g.tau.elements)
 
 
 def label_spans(lm):
@@ -141,6 +151,16 @@ class TestPhiLabeled:
                 for f in enumerate_factorizations(d, tau, e):
                     g = graph_of(f)
                     assert psi(phi_labeled(g)) == g
+
+    def test_arrow_graphs_read_back_exhaustive(self):
+        # the arrows build graphs unchecked; each must be what the reader builds
+        for d in range(2, 6):
+            tau = standard_cycle(d)
+            for e in genus0_types(d):
+                for f in enumerate_factorizations(d, tau, e):
+                    g = graph_of(f)
+                    assert_reads_back(g)
+                    assert_reads_back(psi(phi_labeled(g)))
 
 
 class TestPhi:
@@ -336,10 +356,14 @@ def assert_chain_round_trip(rng, d, e):
     """Decode, label, unfold, read, rebuild, fold and encode a random matrix of type e."""
     h, sv, vd = random_codec_matrix(rng, d, e)
     lm, _ = unique_labeling(mnr_decode(h, sv, vd))
-    f = factorization_of(psi(lm))
+    g = psi(lm)
+    assert_reads_back(g)
+    f = factorization_of(g)
     assert tuple(s.length for s in f.sigmas) == e
     assert multiplies_to_standard_cycle(d, f.sigmas)
-    lm_back = phi_labeled(graph_of(f))
+    g_back = graph_of(f)
+    assert_reads_back(g_back)
+    lm_back = phi_labeled(g_back)
     assert lm_back == lm
     assert mnr_encode(lm_back.mnr) == h
 

@@ -106,6 +106,20 @@ PROOFS = [
     ("prufer2mnr", "matrix", (0, 0), (0, 0)),
 ]
 
+# (factorization, genus) of positive genus: valid, but no tree folds from them
+POSITIVE_GENUS = [
+    ('{"d":2,"tau":[1,2],"sigmas":[[1,2],[1,2],[1,2]]}', 1),
+    ('{"d":3,"tau":[1,2,3],"sigmas":[[1,3,2],[1,3,2]]}', 1),
+    ('{"d":5,"tau":[1,2,3,4,5],"sigmas":[[1,2,3],[1,2,3],[1,3,2],[3,4,5]]}', 2),
+]
+
+# A graph with the S-vertex 2 inside [0, d], and one with several bad edges,
+# listed out of order; the first in sorted order, (4, 9), is the one named
+S_INSIDE_D = '{"d":3,"S":[2,5],"edges":[[2,1],[2,3],[5,1],[5,2]],"tau":[1,2,3]}'
+BAD_EDGES = '{"d":3,"S":[4,5],"edges":[[5,7],[6,1],[4,1],[4,2],[4,9],[5,3]],"tau":[1,2,3]}'
+# A tree with the S-vertex 2 inside [0, 3]: the unfolded graph has no room for it
+TREE_S_INSIDE_D = '{"S":[2],"vertex_data":[1,2],"edges":[{"parent":0,"child":2,"beta":1}]}'
+
 # A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
 GRAPH_OWN_S = '{"d":3,"S":[10,20],"edges":[[10,1],[10,2],[20,2],[20,3]],"tau":[1,2,3]}'
 TREE_OWN_S = (
@@ -596,6 +610,14 @@ class TestConvert:
         assert (code, out) == (2, "")
         assert err == "error: not a factorization: the ordered product is not tau\n"
 
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize("stdin, genus", POSITIVE_GENUS, ids=["transpositions", "3-cycles", "genus-2"])
+    def test_positive_genus_has_no_tree(self, capsys, monkeypatch, stdin, genus, roundtrip):
+        argv = ["convert", "--direction", "fac2mnr", *(["--roundtrip"] if roundtrip else [])]
+        code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"error: a genus-{genus} factorization has no multi-noded tree: only genus 0 folds\n"
+
     @pytest.mark.parametrize(
         "direction,stdin",
         [("graph2fac", LONE_VERTEX), ("mnr2fac", '{"S":[],"vertex_data":[1],"edges":[]}')],
@@ -783,6 +805,37 @@ class TestInputErrorsNameTheField:
         code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
         assert code == 2 and not out
         assert err.startswith("error: S must hold distinct nonzero values")
+
+    @pytest.mark.parametrize(
+        "stdin, message",
+        [(S_INSIDE_D, "S-vertices must avoid [0, 3]"), (BAD_EDGES, "edge (4, 9) is not S-to-[d]")],
+        ids=["s-inside-d", "bad-edges"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("convert", "--direction", "graph2fac"), ("convert", "--direction", "graph2mnr"), ("export",)],
+        ids=["graph2fac", "graph2mnr", "export"],
+    )
+    def test_bad_graph(self, capsys, monkeypatch, argv, stdin, message):
+        assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize("direction", ["mnr2graph", "mnr2fac"])
+    def test_tree_s_inside_d(self, capsys, monkeypatch, direction, roundtrip):
+        argv = ["convert", "--direction", direction, *(["--roundtrip"] if roundtrip else [])]
+        code, out, err = run(capsys, *argv, stdin=TREE_S_INSIDE_D, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: S-vertices must avoid [0, 3]\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("convert", "--direction", "fac2graph"), ("export",), ("prufer", "--mode", "encode")],
+        ids=["convert", "export", "prufer"],
+    )
+    def test_deep_nesting(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (2, "", "error: input nests too deeply to parse\n")
 
     def test_label_key_without_position(self, capsys, monkeypatch):
         tree = (
