@@ -41,30 +41,17 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
 
     parent = g._walk(1)  # rooted at the [d]-vertex 1
     svalues = tuple(g.svertices)
-
-    children: dict[int, tuple[int, ...]] = {}
-    for s in svalues:
-        nbrs = g.neighbors_of_s(s)
-        kids = tuple(sorted(v for v in nbrs if v != parent[s]))
-        children[s] = kids
-
     owner = {1: (0, 1)}  # [d]-value -> (vertex, position) of the node holding it
-    for s in svalues:
-        for pos, v in enumerate(children[s], start=1):
+    vertex_data = [1]
+    for s in svalues:  # the adjacency lists each S-vertex's children increasing
+        kids = [v for v in g.neighbors_of_s(s) if v != parent[s]]
+        vertex_data.append(len(kids))
+        for pos, v in enumerate(kids, start=1):
             owner[v] = (s, pos)
-
-    tree_parents = []
-    beta = []
-    for s in svalues:
-        pvertex, ppos = owner[parent[s]]
-        tree_parents.append((s, pvertex))
-        beta.append((s, ppos))
-
-    vertex_data = (1,) + tuple(len(children[s]) for s in svalues)
-    tree = RootedTree(svalues, tuple(tree_parents))
-    mnr = MultiNodedRootedTree(tree, vertex_data, tuple(beta))
-    labels = tuple((node, v) for v, node in owner.items())
-    return LabeledMNR(mnr, labels)
+    homes = [owner[parent[s]] for s in svalues]  # the parent node of each S-vertex
+    tree = RootedTree(svalues, tuple((s, w) for s, (w, _) in zip(svalues, homes)))
+    mnr = MultiNodedRootedTree(tree, tuple(vertex_data), tuple((s, b) for s, (_, b) in zip(svalues, homes)))
+    return LabeledMNR(mnr, tuple((node, v) for v, node in owner.items()))
 
 
 def phi(g: FactorizationGraph) -> MultiNodedRootedTree:
@@ -137,7 +124,7 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
     labels: dict[tuple[int, int], int] = {}
 
     for vertex in order:
-        start, end = vertex_ranges[vertex]
+        start = vertex_ranges[vertex][0]
         for pos in range(1, m.f_of(vertex) + 1):
             node = (vertex, pos)
             node_ranges[node] = (start, start + node_count[node] - 1)
@@ -155,8 +142,6 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
                 vertex_ranges[c] = (hi + 1, hi + vertex_count[c])
                 hi += vertex_count[c]
             start += node_count[node]
-        if start != end + 1:
-            raise RuntimeError("node counts do not tile the vertex interval")
 
     lm = LabeledMNR(m, tuple(labels.items()))
     return lm, LabelRanges(node_ranges, vertex_ranges)

@@ -50,6 +50,7 @@ from .trees import (
     enumerate_mnr,
     labeled_mnr_from_json,
     labeled_mnr_to_json,
+    labels_from_json,
     matrix_from_json,
     matrix_to_json,
     mnr_encode,
@@ -257,9 +258,10 @@ def _read(kind: str, data: dict):
         return g
     if kind != "labeled":
         return _KINDS[kind][0](data)
-    lm = unique_labeling(mnr_from_json(data))[0]
+    m = mnr_from_json(data)
+    lm = unique_labeling(m)[0]
     if "labels" in data:
-        for (node, x), (_, y) in zip(labeled_mnr_from_json(data).labels, lm.labels):
+        for (node, x), (_, y) in zip(labels_from_json(m, data).labels, lm.labels):
             if x != y:
                 raise ValueError(f"node {node} is labeled {x}; the tree's unique labeling gives {y}")
     return lm
@@ -344,10 +346,7 @@ def cmd_export(args) -> int:
     data = _read_json(args)
     if "vertex_data" in data:
         m = mnr_from_json(data)
-        labels = None
-        if "labels" in data:
-            lm = labeled_mnr_from_json(data)
-            labels = dict(lm.labels)
+        labels = dict(labels_from_json(m, data).labels) if "labels" in data else None
         sys.stdout.write(mnr_to_dot(m, labels))
     elif "tau" in data and "S" in data:
         sys.stdout.write(graph_to_dot(graph_from_json(data)))

@@ -7,6 +7,10 @@ codec for these objects, which is the enumeration backbone of this package.
 
 Nodes inside a multi-noded vertex are addressed as (vertex, position) with
 positions 1..f_i running left to right.
+
+The tree records are plain records whose constructors check nothing: the
+``*_from_json`` readers prove outside data with ``check_tree``, ``check_mnr``
+and ``check_labeled``, which also prove a tree built by hand.
 """
 
 from __future__ import annotations
@@ -35,30 +39,8 @@ class RootedTree:
     _pmap: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        svertices = tuple(self.svertices)
-        object.__setattr__(self, "svertices", svertices)
-        if 0 in svertices:
-            raise ValueError("0 is reserved for the root")
-        if any(a >= b for a, b in zip(svertices, svertices[1:])):
-            raise ValueError("vertex set must be strictly increasing")
-        parents = tuple(sorted((int(c), int(p)) for c, p in self.parents))
-        object.__setattr__(self, "parents", parents)
-        sset = set(svertices)
-        if [c for c, _ in parents] != sorted(sset):
-            raise ValueError("parent map must cover every non-root vertex once")
-        object.__setattr__(self, "_pmap", dict(parents))
-        for c, p in parents:
-            if p != 0 and p not in sset:
-                raise ValueError(f"unknown parent {p}")
-        # each vertex has one parent, so one walk from the root meets it at
-        # most once, and misses exactly the vertices on or below a cycle
-        children = self.children_of()
-        reached = [0]
-        for v in reached:  # breadth first: the list grows while it is read
-            reached.extend(children[v])
-        if len(reached) <= len(svertices):
-            v = min(sset - set(reached))
-            raise ValueError(f"vertex {v} is not reached from the root: it lies on or below a cycle")
+        object.__setattr__(self, "parents", tuple(sorted(self.parents)))
+        object.__setattr__(self, "_pmap", dict(self.parents))
 
     @property
     def n(self) -> int:
@@ -74,6 +56,31 @@ class RootedTree:
         for c, p in self.parents:
             children[p].append(c)
         return children
+
+
+def check_tree(tree: RootedTree) -> RootedTree:
+    """The tree, once its parent map is proved a tree on S + {0} rooted at 0."""
+    svertices = tree.svertices
+    if 0 in svertices:
+        raise ValueError("0 is reserved for the root")
+    if any(a >= b for a, b in zip(svertices, svertices[1:])):
+        raise ValueError("vertex set must be strictly increasing")
+    if [c for c, _ in tree.parents] != list(svertices):
+        raise ValueError("parent map must cover every non-root vertex once")
+    sset = set(svertices)
+    for c, p in tree.parents:
+        if p != 0 and p not in sset:
+            raise ValueError(f"unknown parent {p}")
+    # each vertex has one parent, so one walk from the root meets it at
+    # most once, and misses exactly the vertices on or below a cycle
+    children = tree.children_of()
+    reached = [0]
+    for v in reached:  # breadth first: the list grows while it is read
+        reached.extend(children[v])
+    if len(reached) <= len(svertices):
+        v = min(sset - set(reached))
+        raise ValueError(f"vertex {v} is not reached from the root: it lies on or below a cycle")
+    return tree
 
 
 def _deletion_steps(tree: RootedTree) -> list[tuple[int, int]]:
@@ -134,8 +141,7 @@ def _decode_steps(seq, svertices) -> list[tuple[int, int]]:
 
 def prufer_decode(seq, svertices) -> RootedTree:
     """Invert ``prufer_encode``; the sequence must end in 0 and have length |S|."""
-    steps = _decode_steps(seq, svertices)
-    return RootedTree(tuple(sorted(svertices)), tuple((v, w) for v, w in steps))
+    return RootedTree(tuple(sorted(svertices)), tuple(_decode_steps(seq, svertices)))
 
 
 @dataclass(frozen=True)
@@ -154,22 +160,9 @@ class MultiNodedRootedTree:
     _bmap: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        vertex_data = tuple(self.vertex_data)
-        object.__setattr__(self, "vertex_data", vertex_data)
-        if len(vertex_data) != self.tree.n + 1:
-            raise ValueError("vertex data must list the root and every S-vertex")
-        if any(f < 1 for f in vertex_data):
-            raise ValueError("node counts must be positive")
-        beta = tuple(sorted((int(c), int(b)) for c, b in self.beta))
-        object.__setattr__(self, "beta", beta)
-        if [c for c, _ in beta] != list(self.tree.svertices):
-            raise ValueError("beta must be defined on exactly the edges")
-        object.__setattr__(self, "_fmap", dict(zip((0,) + self.tree.svertices, vertex_data)))
-        object.__setattr__(self, "_bmap", dict(beta))
-        for c, b in beta:
-            cap = self.f_of(self.tree.parent_of(c))
-            if not 1 <= b <= cap:
-                raise ValueError(f"beta({c}) = {b} exceeds the parent's {cap} nodes")
+        object.__setattr__(self, "beta", tuple(sorted(self.beta)))
+        object.__setattr__(self, "_fmap", dict(zip((0,) + self.tree.svertices, self.vertex_data)))
+        object.__setattr__(self, "_bmap", dict(self.beta))
 
     def f_of(self, vertex: int) -> int:
         return self._fmap[vertex]
@@ -187,6 +180,19 @@ class MultiNodedRootedTree:
         return [(v, p) for v, f in zip(verts, self.vertex_data) for p in range(1, f + 1)]
 
 
+def check_mnr(m: MultiNodedRootedTree) -> MultiNodedRootedTree:
+    """The tree, once its vertex data and beta (keyed by its children) fit its proved tree."""
+    if len(m.vertex_data) != m.tree.n + 1:
+        raise ValueError("vertex data must list the root and every S-vertex")
+    if any(f < 1 for f in m.vertex_data):
+        raise ValueError("node counts must be positive")
+    for c, b in m.beta:
+        cap = m.f_of(m.tree.parent_of(c))
+        if not 1 <= b <= cap:
+            raise ValueError(f"beta({c}) = {b} exceeds the parent's {cap} nodes")
+    return m
+
+
 @dataclass(frozen=True)
 class LabeledMNR:
     """A multi-noded rooted tree whose nodes are bijectively labeled by [d]."""
@@ -196,17 +202,21 @@ class LabeledMNR:
     _lmap: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        labels = tuple(sorted(((int(v), int(p)), int(x)) for (v, p), x in self.labels))
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_lmap", dict(labels))
-        d = self.mnr.total_nodes
-        if [node for node, _ in labels] != sorted(self.mnr.nodes()):
-            raise ValueError("labels must cover every node exactly once")
-        if sorted(x for _, x in labels) != list(range(1, d + 1)):
-            raise ValueError(f"labels must be a bijection onto [1, {d}]")
+        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
+        object.__setattr__(self, "_lmap", dict(self.labels))
 
     def label_of(self, node: tuple[int, int]) -> int:
         return self._lmap[node]
+
+
+def check_labeled(lm: LabeledMNR) -> LabeledMNR:
+    """The labeled tree, once its labels are proved a bijection from its nodes onto [1, d]."""
+    if [node for node, _ in lm.labels] != sorted(lm.mnr.nodes()):
+        raise ValueError("labels must cover every node exactly once")
+    d = lm.mnr.total_nodes
+    if sorted(x for _, x in lm.labels) != list(range(1, d + 1)):
+        raise ValueError(f"labels must be a bijection onto [1, {d}]")
+    return lm
 
 
 @dataclass(frozen=True)
@@ -239,19 +249,22 @@ def mnr_encode(m: MultiNodedRootedTree) -> PruferMatrix:
 
 
 def mnr_decode(h: PruferMatrix, svertices, vertex_data) -> MultiNodedRootedTree:
-    """Invert ``mnr_encode`` for the given S and vertex data."""
-    svertices = tuple(sorted(svertices))
+    """Invert ``mnr_encode`` for the given S, increasing, and vertex data in S's order."""
+    svertices = tuple(svertices)
     vertex_data = tuple(vertex_data)
     if len(vertex_data) != len(svertices) + 1:
         raise ValueError("vertex data must list the root and every S-vertex")
-    f_of = dict(zip((0,) + svertices, vertex_data))
     steps = _decode_steps(h.top, svertices)
-    for (v, w), b in zip(steps, h.bottom):
-        if not 1 <= b <= f_of[w]:
-            raise ValueError(f"bottom entry {b} exceeds the {f_of[w]} nodes of vertex {w}")
-    tree = RootedTree(svertices, tuple((v, w) for v, w in steps))
+    if any(a >= b for a, b in zip(svertices, svertices[1:])):
+        raise ValueError(f"S must be strictly increasing, since vertex_data follows its order, got {list(svertices)}")
     beta = tuple((v, b) for (v, _), b in zip(steps, h.bottom))
-    return MultiNodedRootedTree(tree, vertex_data, beta)
+    m = MultiNodedRootedTree(RootedTree(svertices, tuple(steps)), vertex_data, beta)
+    for (v, w), b in zip(steps, h.bottom):
+        if not 1 <= b <= m.f_of(w):
+            raise ValueError(f"bottom entry {b} exceeds the {m.f_of(w)} nodes of vertex {w}")
+    if any(f < 1 for f in vertex_data):
+        raise ValueError("node counts must be positive")
+    return m
 
 
 def mnr_cardinality(vertex_data) -> int:
@@ -266,12 +279,12 @@ def mnr_cardinality(vertex_data) -> int:
 
 
 def enumerate_mnr(svertices, vertex_data):
-    """Every multi-noded rooted tree for the given S and vertex data, once each.
+    """Every multi-noded rooted tree for the given S, increasing, and vertex data, once each.
 
     Streams in lexicographic order of the codec matrix columns, a column
     being the pair (parent entry, beta entry).
     """
-    svertices = tuple(sorted(svertices))
+    svertices = tuple(svertices)
     vertex_data = tuple(vertex_data)
     n = len(svertices)
     if len(vertex_data) != n + 1:
@@ -300,8 +313,7 @@ def tree_to_json(tree: RootedTree) -> dict:
 def tree_from_json(data: dict) -> RootedTree:
     svertices, edges = fields(data, "S", "edges")
     svertices = tuple(sorted(integers(svertices, "S")))
-    parents = tuple((c, p) for p, c in pairs(edges, "edges"))
-    return RootedTree(svertices, parents)
+    return check_tree(RootedTree(svertices, tuple((c, p) for p, c in pairs(edges, "edges"))))
 
 
 def mnr_to_json(m: MultiNodedRootedTree) -> dict:
@@ -321,8 +333,8 @@ def mnr_from_json(data: dict) -> MultiNodedRootedTree:
         p, c, b = (integer(x, "edges") for x in fields(edge, "parent", "child", "beta"))
         parents.append((c, p))
         beta.append((c, b))
-    tree = RootedTree(svertices, tuple(parents))
-    return MultiNodedRootedTree(tree, integers(vertex_data, "vertex_data"), tuple(beta))
+    tree = check_tree(RootedTree(svertices, tuple(parents)))
+    return check_mnr(MultiNodedRootedTree(tree, integers(vertex_data, "vertex_data"), tuple(beta)))
 
 
 def labeled_mnr_to_json(lm: LabeledMNR) -> dict:
@@ -332,7 +344,11 @@ def labeled_mnr_to_json(lm: LabeledMNR) -> dict:
 
 
 def labeled_mnr_from_json(data: dict) -> LabeledMNR:
-    m = mnr_from_json(data)
+    return labels_from_json(mnr_from_json(data), data)
+
+
+def labels_from_json(m: MultiNodedRootedTree, data: dict) -> LabeledMNR:
+    """The tree ``m``, already read from ``data``, labeled by the data's labels."""
     (labels_in,) = fields(data, "labels")
     labels = []
     for key, x in mapping(labels_in, "labels").items():
@@ -341,7 +357,7 @@ def labeled_mnr_from_json(data: dict) -> LabeledMNR:
         except ValueError:
             raise ValueError(f'labels keys must read "(vertex,position)", got {key!r}') from None
         labels.append(((v, p), integer(x, "labels")))
-    return LabeledMNR(m, tuple(labels))
+    return check_labeled(LabeledMNR(m, tuple(labels)))
 
 
 def matrix_to_json(h: PruferMatrix, svertices, vertex_data) -> dict:

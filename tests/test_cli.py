@@ -119,6 +119,67 @@ S_INSIDE_D = '{"d":3,"S":[2,5],"edges":[[2,1],[2,3],[5,1],[5,2]],"tau":[1,2,3]}'
 BAD_EDGES = '{"d":3,"S":[4,5],"edges":[[5,7],[6,1],[4,1],[4,2],[4,9],[5,3]],"tau":[1,2,3]}'
 # A tree with the S-vertex 2 inside [0, 3]: the unfolded graph has no room for it
 TREE_S_INSIDE_D = '{"S":[2],"vertex_data":[1,2],"edges":[{"parent":0,"child":2,"beta":1}]}'
+# A codec matrix that would give vertex 5 two nodes and vertex -3 one
+UNSORTED_S_MATRIX = '{"S":[5,-3],"vertex_data":[1,2,1],"top":[0,0],"bottom":[1,1]}'
+
+
+def _tree_json(s, vertex_data, edges, labels=None):
+    """A tree's JSON text from its S, vertex data and (parent, child, beta) edges."""
+    data = {
+        "S": s,
+        "vertex_data": vertex_data,
+        "edges": [{"parent": p, "child": c, "beta": b} for p, c, b in edges],
+    }
+    if labels is not None:
+        data["labels"] = labels
+    return json.dumps(data)
+
+
+# (id, direction, input, message): one input for every check that the tree
+# readers and mnr_decode run on outside data
+BAD_TREES = [
+    ("zero-in-s", "mnr2prufer", _tree_json([0, 5], [1, 1, 1], [(0, 5, 1)]), "0 is reserved for the root"),
+    ("repeated-s", "mnr2prufer", _tree_json([5, 5], [1, 1, 1], [(0, 5, 1)]), "vertex set must be strictly increasing"),
+    (
+        "incomplete-parents",
+        "mnr2prufer",
+        _tree_json([5, 6], [1, 1, 1], [(0, 5, 1)]),
+        "parent map must cover every non-root vertex once",
+    ),
+    ("unknown-parent", "mnr2prufer", _tree_json([5], [1, 1], [(7, 5, 1)]), "unknown parent 7"),
+    (
+        "cycle",
+        "mnr2graph",
+        _tree_json([5, 6, 7], [1, 1, 1, 1], [(0, 5, 1), (7, 6, 1), (6, 7, 1)]),
+        "vertex 6 is not reached from the root: it lies on or below a cycle",
+    ),
+    (
+        "vertex-data-length",
+        "mnr2prufer",
+        _tree_json([5], [1], [(0, 5, 1)]),
+        "vertex data must list the root and every S-vertex",
+    ),
+    ("zero-nodes", "mnr2prufer", _tree_json([5], [1, 0], [(0, 5, 1)]), "node counts must be positive"),
+    (
+        "matrix-leaf-zero-nodes",
+        "prufer2mnr",
+        '{"S":[5],"vertex_data":[1,0],"top":[0],"bottom":[1]}',
+        "node counts must be positive",
+    ),
+    ("beta-range", "mnr2prufer", _tree_json([5], [1, 1], [(0, 5, 2)]), "beta(5) = 2 exceeds the parent's 1 nodes"),
+    (
+        "labels-cover",
+        "mnr2graph",
+        _tree_json([5], [1, 1], [(0, 5, 1)], {"(0,1)": 1, "(5,2)": 2}),
+        "labels must cover every node exactly once",
+    ),
+    (
+        "labels-bijection",
+        "mnr2graph",
+        _tree_json([5], [1, 1], [(0, 5, 1)], {"(0,1)": 1, "(5,1)": 3}),
+        "labels must be a bijection onto [1, 2]",
+    ),
+]
 
 # A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
 GRAPH_OWN_S = '{"d":3,"S":[10,20],"edges":[[10,1],[10,2],[20,2],[20,3]],"tau":[1,2,3]}'
@@ -805,6 +866,28 @@ class TestInputErrorsNameTheField:
         code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
         assert code == 2 and not out
         assert err.startswith("error: S must hold distinct nonzero values")
+
+    # vertex_data follows the order of S, so an S out of order has no reading
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("convert", "--direction", "prufer2mnr"), UNSORTED_S_MATRIX),
+            (("convert", "--direction", "prufer2mnr", "--roundtrip"), UNSORTED_S_MATRIX),
+            (("enumerate", "--kind", "mnr", "--vertex-data", "1,2,1", "--s", "5,-3"), None),
+        ],
+        ids=["prufer2mnr", "prufer2mnr-roundtrip", "enumerate"],
+    )
+    def test_s_out_of_order(self, capsys, monkeypatch, argv, stdin):
+        code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+        message = "S must be strictly increasing, since vertex_data follows its order, got [5, -3]"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "direction, stdin, message", [case[1:] for case in BAD_TREES], ids=[case[0] for case in BAD_TREES]
+    )
+    def test_bad_tree(self, capsys, monkeypatch, direction, stdin, message):
+        argv = ("convert", "--direction", direction)
+        assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "stdin, message",

@@ -11,6 +11,8 @@ from cyclefactor.trees import (
     PruferMatrix,
     RootedTree,
     TrivialTreeError,
+    check_mnr,
+    check_tree,
     enumerate_mnr,
     labeled_mnr_from_json,
     labeled_mnr_to_json,
@@ -46,16 +48,18 @@ def example_mnr():
 class TestRootedTree:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError):
-            RootedTree((1, 2), ((1, 2), (2, 1)))
+            tree_from_json({"S": [1, 2], "edges": [[2, 1], [1, 2]]})
 
     def test_cycle_error_names_a_vertex_it_cuts_off(self):
         # 2 and 3 point at each other and 4 hangs below them; 1 is fine
         with pytest.raises(ValueError, match="vertex 2 is not reached from the root"):
-            RootedTree((1, 2, 3, 4), ((1, 0), (2, 3), (3, 2), (4, 3)))
+            check_tree(RootedTree((1, 2, 3, 4), ((1, 0), (2, 3), (3, 2), (4, 3))))
 
     def test_rejects_incomplete_parent_map(self):
         with pytest.raises(ValueError):
-            RootedTree((1, 2), ((1, 0),))
+            check_tree(RootedTree((1, 2), ((1, 0),)))
+        with pytest.raises(ValueError):
+            tree_from_json({"S": [1, 2], "edges": [[0, 1]]})
 
     def test_children(self):
         t = example_tree()
@@ -197,10 +201,10 @@ class TestMnrCodec:
             mnr_decode(h, (3, 5), (1, 1, 1))
 
     def test_beta_validation_at_construction(self):
+        # the constructor trusts its input; check_mnr proves a hand-built tree
+        m = MultiNodedRootedTree(RootedTree((4, 5), ((4, 0), (5, 4))), (1, 1, 1), ((4, 1), (5, 2)))
         with pytest.raises(ValueError):
-            MultiNodedRootedTree(
-                RootedTree((4, 5), ((4, 0), (5, 4))), (1, 1, 1), ((4, 1), (5, 2))
-            )
+            check_mnr(m)
 
     def test_decode_total_and_injective_on_small_family(self):
         svertices = (11, 12, 13)
