@@ -12,6 +12,7 @@ from .perm import (
     CycleType,
     NotMaximal,
     Permutation,
+    check_cycle,
     compose,
     cycle_decomposition,
     cycle_type,
@@ -43,7 +44,6 @@ from .factorization import (
 from .graph import (
     Decomposition,
     FactorizationGraph,
-    SVertexSet,
     collapse_transposition_graph,
     decompose_at_last,
     default_svertices,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FactorizationGraph, SVertexSet, check_svertices
+from .graph import FactorizationGraph, check_svertices
 from .perm import standard_cycle
 from .trees import LabeledMNR, MultiNodedRootedTree, RootedTree
 
@@ -40,7 +40,7 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
         g = standardize_graph(g)[0]
 
     parent = g._walk(1)  # rooted at the [d]-vertex 1
-    svalues = tuple(g.svertices)
+    svalues = g.svertices
     owner = {1: (0, 1)}  # [d]-value -> (vertex, position) of the node holding it
     vertex_data = [1]
     for s in svalues:  # the adjacency lists each S-vertex's children increasing
@@ -76,9 +76,7 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
             edges.add((s, lm.label_of((s, pos))))
         pvertex = m.tree.parent_of(s)
         edges.add((s, lm.label_of((pvertex, m.beta_of(s)))))
-    return FactorizationGraph(
-        d, SVertexSet(m.tree.svertices), frozenset(edges), standard_cycle(d)
-    )
+    return FactorizationGraph(d, m.tree.svertices, frozenset(edges), standard_cycle(d))
 
 
 def _subtree_node_counts(m: MultiNodedRootedTree):
@@ -110,9 +108,11 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
 
     Works down from the root: a vertex's interval is split across its nodes
     by subtree node counts; around each node, the attached vertices with
-    smaller values stack below the node's label (nearest first) and the
-    others stack above it (largest nearest).  A vertex's labels depend only
-    on the interval its parent gives it, so any top-down order works.
+    values smaller than its vertex's stack below the node's label (nearest
+    first) and the others stack above it (largest nearest).  The root 0
+    sorts below every S-vertex, so all vertices attached to it stack above.
+    A vertex's labels depend only on the interval its parent gives it, so
+    any top-down order works.
     """
     if m.vertex_data[0] != 1:
         raise ValueError("the root must be single-noded for the labeling to exist")
@@ -129,8 +129,8 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
             node = (vertex, pos)
             node_ranges[node] = (start, start + node_count[node] - 1)
             kids = attached.get(node, ())
-            below = [c for c in kids if c < vertex]
-            above = [c for c in kids if c > vertex]
+            below = [c for c in kids if vertex and c < vertex]
+            above = [c for c in kids if not vertex or c > vertex]
             label = start + sum(vertex_count[c] for c in below)
             labels[node] = label
             lo = label

@@ -44,6 +44,7 @@ from .perm import (
     Cycle,
     CycleType,
     Permutation,
+    check_cycle,
     cycles_of,
     index,
     pure_cycle_type,
@@ -422,13 +423,13 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
     stream = _stream_element_tuples(d, tau, e, stats)
 
     def gen():
-        # both searches emit distinct, min-first elements inside supp(tau), and
+        # both searches emit distinct elements inside supp(tau), and
         # consecutive outputs share their leading factors' element tuples, so
         # a factor's Cycle is built once and kept while its tuple lasts
         previous = sigmas = (None,) * len(e)
         for elem_tuple in stream:
             sigmas = tuple(
-                [s if x is y else Cycle._unchecked(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
+                [s if x is y else Cycle(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
             )
             previous = elem_tuple
             yield Factorization(ftype, tau, sigmas)
@@ -624,8 +625,8 @@ def factorization_from_json(data: dict) -> Factorization:
     """Read and validate a factorization; ``standardize`` and ``graph_of`` trust it."""
     degree, tau, sigmas = fields(data, "d", "tau", "sigmas")
     degree = integer(degree, "d")
-    tau = Cycle(degree, integers(tau, "tau"))
-    sigmas = tuple(Cycle(degree, integers(s, "sigmas")) for s in array(sigmas, "sigmas"))
+    tau = check_cycle(degree, integers(tau, "tau"))
+    sigmas = tuple(check_cycle(degree, integers(s, "sigmas")) for s in array(sigmas, "sigmas"))
     ftype = FactorizationType(tau.length, tuple(s.length for s in sigmas))
     f = Factorization(ftype, tau, sigmas)
     if not validate(f):

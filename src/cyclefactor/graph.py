@@ -28,33 +28,15 @@ from .factorization import Factorization, FactorizationType, validate
 from .perm import (
     Cycle,
     CircleOrder,
+    check_cycle,
     split_circle_product,
     standard_cycle,
 )
 
 
-@dataclass(frozen=True)
-class SVertexSet:
-    """Strictly increasing vertex names for the factor side of the graph."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ValueError("S-vertex values must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def default_svertices(d: int, count: int) -> SVertexSet:
+def default_svertices(d: int, count: int) -> tuple[int, ...]:
     """The default choice S = {d+1, ..., d+count}."""
-    return SVertexSet(tuple(range(d + 1, d + count + 1)))
+    return tuple(range(d + 1, d + count + 1))
 
 
 @dataclass(frozen=True)
@@ -63,13 +45,14 @@ class FactorizationGraph:
 
     The [d]-side is the support of ``tau`` (the full [1, d] for whole graphs;
     a sub-circle for the subtrees produced by :func:`decompose_at_last`).
+    ``svertices`` is a strictly increasing tuple of integers outside [0, d].
     A plain record: the constructor only builds the adjacency of the frozenset
     ``edges``; ``graph_from_json`` checks outside data, and ``gate_failure``
     proves a hand-built graph.
     """
 
     d: int
-    svertices: SVertexSet
+    svertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     tau: Cycle
     _s_adj: dict = field(init=False, repr=False, compare=False, default=None)
@@ -135,7 +118,7 @@ class FactorizationGraph:
         return comps
 
 
-def graph_of(f: Factorization, svertices: SVertexSet | None = None) -> FactorizationGraph:
+def graph_of(f: Factorization, svertices: tuple[int, ...] | None = None) -> FactorizationGraph:
     """The support graph of a factorization; S defaults to {d+1, ..., d+r-1}.
 
     It checks nothing: a factorization is validated where it is read, and the
@@ -286,7 +269,7 @@ class Decomposition:
 
 def decompose_at_last(g: FactorizationGraph) -> Decomposition:
     """Split a factorization graph along its largest S-vertex into sub-factorization-graphs."""
-    svalues = tuple(g.svertices)
+    svalues = g.svertices
     s_last = svalues[-1]
     sigma_last = g.circle().clockwise_cycle(g.neighbors_of_s(s_last))
     pieces = split_circle_product(g.tau, sigma_last.inverse())
@@ -304,7 +287,7 @@ def decompose_at_last(g: FactorizationGraph) -> Decomposition:
         sset = comp_by_dset[frozenset(gamma_i.elements)]
         sub_edges = frozenset((s, v) for s in sset for v in g.neighbors_of_s(s))
         subtrees.append(
-            FactorizationGraph(g.d, SVertexSet(tuple(sorted(sset))), sub_edges, gamma_i)
+            FactorizationGraph(g.d, tuple(sorted(sset)), sub_edges, gamma_i)
         )
         bsets.append(frozenset(factor_index[s] for s in sset))
 
@@ -363,9 +346,11 @@ def graph_from_json(data: dict) -> FactorizationGraph:
     """Read any S-[d] bipartite graph; ``gate_failure`` decides membership."""
     d, svertices, edges, tau = fields(data, "d", "S", "edges", "tau")
     d = integer(d, "d")
-    svertices = SVertexSet(tuple(sorted(integers(svertices, "S"))))
+    svertices = tuple(sorted(integers(svertices, "S")))
+    if any(a == b for a, b in zip(svertices, svertices[1:])):
+        raise ValueError("S-vertex values must be strictly increasing")
     edges = frozenset(pairs(edges, "edges"))
-    tau = Cycle(d, integers(tau, "tau"))
+    tau = check_cycle(d, integers(tau, "tau"))
     check_svertices(d, svertices)
     sset, vset = set(svertices), tau.support
     for s, v in sorted(edges):

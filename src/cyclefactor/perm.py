@@ -3,6 +3,10 @@
 All values are immutable and all functions are pure, so everything here is
 safe to share across threads.  Composition is right-to-left throughout:
 ``compose(p, q)(x) == p(q(x))``, i.e. the right factor acts first.
+
+A ``Cycle`` is a plain value: its constructor only rotates the elements to
+start at their minimum.  ``check_cycle`` proves elements read from outside;
+the functions here build cycles from cycles already proved and trust them.
 """
 
 from __future__ import annotations
@@ -67,7 +71,10 @@ class Cycle:
 
     The element sequence is canonicalized to start at its minimum, so two
     cycles are equal iff they are rotations of each other.  Length-1 cycles
-    are legal values: they carry their fixed point as support.
+    are legal values: they carry their fixed point as support.  A plain
+    value: the constructor checks nothing and only rotates the tuple
+    ``elements``; ``check_cycle`` proves elements from outside to be
+    distinct and inside [1, degree].
 
     >>> Cycle(5, (3, 1, 4)).elements
     (1, 4, 3)
@@ -77,23 +84,10 @@ class Cycle:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(self.elements)
-        if not elems:
-            raise ValueError("a cycle needs at least one element")
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"repeated element in cycle {elems!r}")
-        if any(not 1 <= x <= self.degree for x in elems):
-            raise ValueError(f"cycle {elems!r} leaves [1, {self.degree}]")
+        elems = self.elements
         i = elems.index(min(elems))
-        object.__setattr__(self, "elements", elems[i:] + elems[:i])
-
-    @classmethod
-    def _unchecked(cls, degree: int, elements: tuple[int, ...]) -> Cycle:
-        """A cycle from elements known to be distinct, in range and min-first."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "degree", degree)
-        object.__setattr__(c, "elements", elements)
-        return c
+        if i:
+            object.__setattr__(self, "elements", elems[i:] + elems[:i])
 
     @property
     def length(self) -> int:
@@ -111,6 +105,17 @@ class Cycle:
 
     def __str__(self) -> str:
         return "(" + " ".join(str(x) for x in self.elements) + ")"
+
+
+def check_cycle(degree: int, elements: tuple[int, ...]) -> Cycle:
+    """The cycle on ``elements``, once they are proved nonempty, distinct and in [1, degree]."""
+    if not elements:
+        raise ValueError("a cycle needs at least one element")
+    if len(set(elements)) != len(elements):
+        raise ValueError(f"repeated element in cycle {elements!r}")
+    if any(not 1 <= x <= degree for x in elements):
+        raise ValueError(f"cycle {elements!r} leaves [1, {degree}]")
+    return Cycle(degree, elements)
 
 
 @dataclass(frozen=True)
@@ -200,7 +205,7 @@ def cycle_decomposition(p: Permutation) -> list[Cycle]:
     >>> [str(c) for c in cycle_decomposition(Permutation.from_cycles(5, [(1, 3), (2, 4)]))]
     ['(1 3)', '(2 4)', '(5)']
     """
-    return [Cycle._unchecked(p.degree, c) for c in cycles_of(p.images)]
+    return [Cycle(p.degree, c) for c in cycles_of(p.images)]
 
 
 def cycle_type(p: Permutation) -> CycleType:

@@ -228,7 +228,7 @@ def check_bijection_pipeline(max_d: int) -> CheckResult:
     for d in range(2, min(max_d, 6) + 1):
         tau = standard_cycle(d)
         for e in genus0_types(d):
-            svertices = tuple(default_svertices(d, len(e)))
+            svertices = default_svertices(d, len(e))
             images = []
             for f in enumerate_factorizations(d, tau, e):
                 g = graph_of(f)

@@ -1,5 +1,6 @@
 """Folding graphs to labeled trees and back; the unique labeling."""
 
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from cyclefactor.factorization import (
 )
 from cyclefactor.graph import (
     FactorizationGraph,
-    SVertexSet,
     characterization_failure,
     decompose_at_last,
     factorization_of,
@@ -120,7 +120,7 @@ class TestPhiLabeled:
     def test_rejects_non_factorization_graph(self, assert_gate_rejects):
         g = FactorizationGraph(
             4,
-            SVertexSet((5, 6)),
+            (5, 6),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
         )
@@ -129,10 +129,10 @@ class TestPhiLabeled:
     def test_graph_without_factor_vertices(self, assert_gate_rejects):
         # one vertex is the graph of the empty factorization of a 1-cycle;
         # on more vertices an edgeless graph is no tree
-        one = FactorizationGraph(1, SVertexSet(()), frozenset(), standard_cycle(1))
+        one = FactorizationGraph(1, (), frozenset(), standard_cycle(1))
         assert gate_failure(one) is None
         assert phi_labeled(one).mnr.vertex_data == (1,)
-        three = FactorizationGraph(3, SVertexSet(()), frozenset(), standard_cycle(3))
+        three = FactorizationGraph(3, (), frozenset(), standard_cycle(3))
         assert_gate_rejects(three, "not a tree")
 
     def test_nonstandard_tau_is_relabeled(self):
@@ -234,6 +234,22 @@ class TestUniqueLabeling:
                         g = psi(lm)
                         assert is_factorization_graph(g)
                         assert phi(g) == m
+
+    @pytest.mark.parametrize("sign", ["negative", "mixed", "above-d"])
+    def test_any_s_outside_root_and_d_round_trips(self, sign):
+        # the root 0 sorts below every S-vertex, negative ones included: each
+        # tree's unique labeling unfolds to a factorization graph that folds
+        # back to it; n <= 3 S-vertices of 1 to 3 nodes, 1,425 trees per sign
+        failures = 0
+        for n in range(1, 4):
+            negatives = {"negative": n, "mixed": (n + 1) // 2, "above-d": 0}[sign]
+            svertices = tuple(range(-2 * negatives, 0, 2)) + tuple(range(50, 50 + n - negatives))
+            for fs in itertools.product((1, 2, 3), repeat=n):
+                for m in enumerate_mnr(svertices, (1,) + fs):
+                    lm, _ = unique_labeling(m)
+                    g = psi(lm)
+                    failures += gate_failure(g) is not None or phi_labeled(g) != lm
+        assert failures == 0
 
     def test_deep_chain_has_no_depth_limit(self):
         # d - 1 single-node vertices, each hanging from the previous one

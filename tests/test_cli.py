@@ -181,12 +181,77 @@ BAD_TREES = [
     ),
 ]
 
+# (id, direction, input, message): one input for every check that the
+# factorization and graph readers run on a cycle or on S, and for their order
+BAD_CYCLES = [
+    (
+        "repeated-factor-element",
+        "fac2graph",
+        '{"d":3,"tau":[1,2,3],"sigmas":[[1,1],[1,2,3]]}',
+        "repeated element in cycle (1, 1)",
+    ),
+    ("empty-factor", "fac2graph", '{"d":3,"tau":[1,2,3],"sigmas":[[],[1,2,3]]}', "a cycle needs at least one element"),
+    ("factor-out-of-range", "fac2graph", '{"d":3,"tau":[1,2,3],"sigmas":[[1,4],[1,2]]}', "cycle (1, 4) leaves [1, 3]"),
+    # a repeat is named before the range, and tau before the factors
+    ("repeat-before-range", "fac2graph", '{"d":3,"tau":[1,2,3],"sigmas":[[4,4]]}', "repeated element in cycle (4, 4)"),
+    ("tau-before-factors", "fac2graph", '{"d":3,"tau":[1,2,2],"sigmas":[[]]}', "repeated element in cycle (1, 2, 2)"),
+    (
+        "repeated-tau-element",
+        "graph2fac",
+        '{"d":3,"S":[4],"edges":[[4,1],[4,2]],"tau":[1,2,2]}',
+        "repeated element in cycle (1, 2, 2)",
+    ),
+    ("empty-tau", "graph2fac", '{"d":3,"S":[4],"edges":[[4,1],[4,2]],"tau":[]}', "a cycle needs at least one element"),
+    (
+        "repeated-s",
+        "graph2fac",
+        '{"d":3,"S":[4,4],"edges":[[4,1],[4,2],[4,3]],"tau":[1,2,3]}',
+        "S-vertex values must be strictly increasing",
+    ),
+    # S is checked as soon as it is sorted, before tau and the edges
+    (
+        "s-before-tau-and-edges",
+        "graph2fac",
+        '{"d":3,"S":[5,4,5],"edges":[[9,1]],"tau":[1,1]}',
+        "S-vertex values must be strictly increasing",
+    ),
+]
+
 # A valid graph and tree whose S-vertices are not {d+1, ..., d+r-1}
 GRAPH_OWN_S = '{"d":3,"S":[10,20],"edges":[[10,1],[10,2],[20,2],[20,3]],"tau":[1,2,3]}'
 TREE_OWN_S = (
     '{"S":[10,20],"vertex_data":[1,1,1],"edges":[{"parent":0,"child":10,"beta":1},'
     '{"parent":10,"child":20,"beta":1}]}'
 )
+
+# (direction, input, output): valid inputs whose S-vertices lie below the
+# root 0, which sorts below every S-vertex; a graph, a one-vertex tree and
+# both two-vertex paths
+NEGATIVE_S = [
+    (
+        "graph2mnr",
+        '{"d":3,"S":[-5],"edges":[[-5,1],[-5,2],[-5,3]],"tau":[1,2,3]}',
+        '{"S":[-5],"vertex_data":[1,2],"edges":[{"parent":0,"child":-5,"beta":1}],'
+        '"labels":{"(-5,1)":2,"(-5,2)":3,"(0,1)":1}}',
+    ),
+    (
+        "mnr2graph",
+        '{"S":[-1],"vertex_data":[1,1],"edges":[{"parent":0,"child":-1,"beta":1}]}',
+        '{"d":2,"S":[-1],"edges":[[-1,1],[-1,2]],"tau":[1,2]}',
+    ),
+    (
+        "mnr2fac",
+        '{"S":[-2,-1],"vertex_data":[1,1,1],"edges":[{"parent":0,"child":-1,"beta":1},'
+        '{"parent":-1,"child":-2,"beta":1}]}',
+        '{"d":3,"tau":[1,2,3],"sigmas":[[2,3],[1,3]]}',
+    ),
+    (
+        "mnr2fac",
+        '{"S":[-2,-1],"vertex_data":[1,1,1],"edges":[{"parent":0,"child":-2,"beta":1},'
+        '{"parent":-2,"child":-1,"beta":1}]}',
+        '{"d":3,"tau":[1,2,3],"sigmas":[[1,2],[2,3]]}',
+    ),
+]
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -542,6 +607,14 @@ class TestConvert:
         assert (code, out, err) == (0, expected + "\n", "")
 
     @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize(
+        "direction, stdin, expected", NEGATIVE_S, ids=["graph2mnr", "mnr2graph", "mnr2fac-down", "mnr2fac-up"]
+    )
+    def test_negative_s_round_trips(self, capsys, monkeypatch, direction, stdin, expected, roundtrip):
+        argv = ["convert", "--direction", direction, *(["--roundtrip"] if roundtrip else [])]
+        assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
     @pytest.mark.parametrize("stdin", NON_UNIQUE_LABELINGS, ids=["star", "chain"])
     @pytest.mark.parametrize("direction", ["mnr2graph", "mnr2fac"])
     def test_non_unique_labeling_rejected(self, capsys, monkeypatch, direction, stdin, roundtrip):
@@ -886,6 +959,13 @@ class TestInputErrorsNameTheField:
         "direction, stdin, message", [case[1:] for case in BAD_TREES], ids=[case[0] for case in BAD_TREES]
     )
     def test_bad_tree(self, capsys, monkeypatch, direction, stdin, message):
+        argv = ("convert", "--direction", direction)
+        assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "direction, stdin, message", [case[1:] for case in BAD_CYCLES], ids=[case[0] for case in BAD_CYCLES]
+    )
+    def test_bad_cycle_or_s(self, capsys, monkeypatch, direction, stdin, message):
         argv = ("convert", "--direction", direction)
         assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (2, "", f"error: {message}\n")
 

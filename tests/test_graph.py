@@ -14,7 +14,6 @@ from cyclefactor.factorization import (
 )
 from cyclefactor.graph import (
     FactorizationGraph,
-    SVertexSet,
     characterization_failure,
     collapse_transposition_graph,
     decompose_at_last,
@@ -88,7 +87,7 @@ class TestGraphOf:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            graph_of(worked_factorization(), SVertexSet((21, 22)))
+            graph_of(worked_factorization(), (21, 22))
 
     def test_invalid_factorization_rejected(self, assert_gate_rejects):
         # graph_of checks nothing; the reader and the gate reject the input
@@ -124,7 +123,7 @@ class TestFactorizationOf:
     def test_error_names_condition(self, assert_gate_rejects):
         g = FactorizationGraph(
             4,
-            SVertexSet((5, 6)),
+            (5, 6),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
         )
@@ -144,7 +143,7 @@ class TestCpp:
         # subtree {1,3} is not an arc of (1 2 3 4)
         g = FactorizationGraph(
             4,
-            SVertexSet((5, 6)),
+            (5, 6),
             frozenset({(5, 1), (5, 3), (6, 1), (6, 2), (6, 4)}),
             standard_cycle(4),
         )
@@ -157,7 +156,7 @@ class TestCpp:
     def test_degree_one_rejected(self):
         g = FactorizationGraph(
             3,
-            SVertexSet((4, 5)),
+            (4, 5),
             frozenset({(4, 1), (4, 2), (4, 3), (5, 2)}),
             standard_cycle(3),
         )
@@ -189,7 +188,7 @@ class TestCicpp:
         # so the walk 4, 3, 2 meets the first component twice
         g = FactorizationGraph(
             4,
-            SVertexSet((5, 6)),
+            (5, 6),
             frozenset({(5, 1), (5, 2), (5, 4), (6, 1), (6, 3)}),
             standard_cycle(4),
         )
@@ -210,7 +209,7 @@ class TestCharacterization:
     def test_disconnected_fails(self):
         g = FactorizationGraph(
             4,
-            SVertexSet((5, 6)),
+            (5, 6),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
         )
@@ -369,7 +368,7 @@ class TestSerialization:
     def test_nondefault_svertices_round_trip(self):
         tau = standard_cycle(3)
         f = Factorization(FactorizationType(3, (3,)), tau, (tau,))
-        g = graph_of(f, SVertexSet((-7,)))
+        g = graph_of(f, (-7,))
         assert graph_from_json(graph_to_json(g)) == g
 
     def test_dot_node_count(self):

@@ -10,6 +10,7 @@ from cyclefactor.perm import (
     CycleType,
     NotMaximal,
     Permutation,
+    check_cycle,
     compose,
     cycle_decomposition,
     cycle_type,
@@ -125,10 +126,13 @@ class TestCycleCanonicalForm:
         assert Cycle(5, (3, 1, 4)) == Cycle(5, (1, 4, 3))
 
     def test_rejects_duplicates_and_range(self):
-        with pytest.raises(ValueError):
-            Cycle(3, (1, 1))
-        with pytest.raises(ValueError):
-            Cycle(3, (4,))
+        with pytest.raises(ValueError, match="^a cycle needs at least one element$"):
+            check_cycle(3, ())
+        with pytest.raises(ValueError, match=r"^repeated element in cycle \(4, 4\)$"):
+            check_cycle(3, (4, 4))
+        with pytest.raises(ValueError, match=r"^cycle \(4,\) leaves \[1, 3\]$"):
+            check_cycle(3, (4,))
+        assert check_cycle(3, (3, 1)) == Cycle(3, (1, 3))
 
     def test_one_cycle_support(self):
         assert Cycle(4, (3,)).support == frozenset({3})
