@@ -4,7 +4,7 @@
 each factor vertex into a multi-noded vertex whose nodes carry its children;
 ``psi`` unfolds back.  For an unlabeled multi-noded rooted tree there is a
 unique node labeling whose unfolding is a factorization graph, and
-``unique_labeling`` computes it level by level from subtree node counts.
+``unique_labeling`` computes it as the order of one walk over the nodes.
 
 The core maps assume the base cycle is (1 2 ... d).  Graphs over another
 base cycle are relabeled on the way in (see ``standardize``); the value map
@@ -13,11 +13,15 @@ is recoverable from the original cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import FactorizationGraph, check_svertices
 from .perm import standard_cycle
 from .trees import LabeledMNR, MultiNodedRootedTree, RootedTree
+
+
+_VERTEX, _NODE, _LABEL, _CLOSE = "vertex", "node", "label", "close"  # unique_labeling's walk
 
 
 @dataclass
@@ -36,7 +40,7 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
     children in increasing order, attached to its parent's node.  It trusts
     g to be a factorization graph, as ``graph.gate_failure`` proves.
     """
-    if g.tau != standard_cycle(g.d):
+    if g.tau.length != g.d or g.tau != standard_cycle(g.d):
         g = standardize_graph(g)[0]
 
     parent = g._walk(1)  # rooted at the [d]-vertex 1
@@ -79,72 +83,47 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     return FactorizationGraph(d, m.tree.svertices, frozenset(edges), standard_cycle(d))
 
 
-def _subtree_node_counts(m: MultiNodedRootedTree):
-    """The breadth-first vertex order and the node counts of every subtree.
-
-    ``attached[node]`` lists the vertices hanging from a node in increasing
-    order.
-    """
-    children = m.tree.children_of()
-    order = [0]  # every vertex after its parent
-    for v in order:  # breadth first: the list grows while it is read
-        order.extend(children[v])
-    vertex_count: dict[int, int] = {}
-    for v in reversed(order):
-        vertex_count[v] = m.f_of(v) + sum(vertex_count[c] for c in children[v])
-    attached: dict[tuple[int, int], list[int]] = {}
-    for c in m.tree.svertices:
-        node = (m.tree.parent_of(c), m.beta_of(c))
-        attached.setdefault(node, []).append(c)
-    node_count = {
-        node: 1 + sum(vertex_count[c] for c in attached.get(node, ()))
-        for node in m.nodes()
-    }
-    return order, vertex_count, node_count, attached
-
-
 def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
     """The unique node labeling whose unfolding is a factorization graph.
 
-    Works down from the root: a vertex's interval is split across its nodes
-    by subtree node counts; around each node, the attached vertices with
-    values smaller than its vertex's stack below the node's label (nearest
-    first) and the others stack above it (largest nearest).  The root 0
-    sorts below every S-vertex, so all vertices attached to it stack above.
-    A vertex's labels depend only on the interval its parent gives it, so
-    any top-down order works.
+    The labels number the nodes in the order of one walk: a vertex's nodes
+    left to right, and around each node first the vertices attached to it
+    whose values are below its vertex's value, largest first, then the node
+    itself, then the attached vertices above that value, largest first.  The
+    root 0 sorts below every S-vertex, so every vertex attached to it comes
+    after its node.  The walk closes each vertex- and node-rooted subtree on
+    an interval of labels, returned as ``LabelRanges``.
     """
     if m.vertex_data[0] != 1:
         raise ValueError("the root must be single-noded for the labeling to exist")
-    d = m.total_nodes
-    order, vertex_count, node_count, attached = _subtree_node_counts(m)
+    parent_of = m.tree.parent_of
+    attached: dict[tuple[int, int], list[int]] = {}
+    for c, b in m.beta:  # sorted by child, so every list increases
+        attached.setdefault((parent_of(c), b), []).append(c)
 
-    vertex_ranges: dict[int, tuple[int, int]] = {0: (1, d)}
-    node_ranges: dict[tuple[int, int], tuple[int, int]] = {}
     labels: dict[tuple[int, int], int] = {}
-
-    for vertex in order:
-        start = vertex_ranges[vertex][0]
-        for pos in range(1, m.f_of(vertex) + 1):
-            node = (vertex, pos)
-            node_ranges[node] = (start, start + node_count[node] - 1)
-            kids = attached.get(node, ())
-            below = [c for c in kids if vertex and c < vertex]
-            above = [c for c in kids if not vertex or c > vertex]
-            label = start + sum(vertex_count[c] for c in below)
-            labels[node] = label
-            lo = label
-            for c in below:  # packs [.., label-1] downward in value order
-                vertex_ranges[c] = (lo - vertex_count[c], lo - 1)
-                lo -= vertex_count[c]
-            hi = label
-            for c in reversed(above):  # packs [label+1, ..] upward
-                vertex_ranges[c] = (hi + 1, hi + vertex_count[c])
-                hi += vertex_count[c]
-            start += node_count[node]
-
-    lm = LabeledMNR(m, tuple(labels.items()))
-    return lm, LabelRanges(node_ranges, vertex_ranges)
+    ranges = LabelRanges({}, {})
+    last = 0  # the last label given
+    stack: list = [(_VERTEX, 0)]
+    while stack:
+        kind, item = stack.pop()
+        if kind is _LABEL:
+            last += 1
+            labels[item] = last
+        elif kind is _CLOSE:
+            spans, key, first = item
+            spans[key] = (first, last)
+        elif kind is _VERTEX:  # its nodes, left to right
+            stack.append((_CLOSE, (ranges.vertex_ranges, item, last + 1)))
+            stack.extend([(_NODE, (item, pos)) for pos in range(m.f_of(item), 0, -1)])
+        else:  # a node: the vertices below its vertex's value, itself, those above
+            kids = attached.get(item, ())
+            split = bisect_left(kids, item[0]) if item[0] else 0
+            stack.append((_CLOSE, (ranges.node_ranges, item, last + 1)))
+            stack.extend([(_VERTEX, c) for c in kids[split:]])  # popped largest first
+            stack.append((_LABEL, item))
+            stack.extend([(_VERTEX, c) for c in kids[:split]])
+    return LabeledMNR(m, tuple(labels.items())), ranges
 
 
 def standardize_graph(g: FactorizationGraph) -> tuple[FactorizationGraph, dict[int, int]]:

@@ -25,8 +25,8 @@ stream:
   and the tests.
 
 The search core reads cycles through the one cycle walker, ``perm.cycles_of``.
-``validate`` checks a given factorization in O(d + sum(e_i)): each factor
-changes the running product only on its own support.
+``validate`` checks a given factorization in O(|tau| + sum(e_i)): each
+factor changes the running product only on its own support.
 All counts are exact integers; Hurwitz numbers are exact rationals.
 """
 
@@ -116,8 +116,9 @@ class Factorization:
 def validate(f: Factorization) -> bool:
     """True iff the factors match the type, sit inside supp(tau), and multiply to tau.
 
-    The product is kept as one image list that each factor changes only on
-    its own support, so the cost is O(d + sum(e_i)) in the ambient degree d.
+    The product is kept as one image map on supp(tau) that each factor
+    changes only on its own support, so the cost is O(|tau| + sum(e_i)),
+    whatever the ambient degree.
     """
     if len(f.sigmas) != len(f.ftype.e):
         return False
@@ -126,7 +127,8 @@ def validate(f: Factorization) -> bool:
     support = f.tau.support
     if any(not s.support <= support for s in f.sigmas):
         return False
-    images = list(range(f.tau.degree + 1))
+    tau = f.tau.elements
+    images = dict(zip(tau, tau))
     for s in f.sigmas:
         elems = s.elements
         # p <- p o s: on supp(s), p'(x) = p(s(x)); read every value before writing
@@ -134,8 +136,7 @@ def validate(f: Factorization) -> bool:
         for x, y in zip(elems, moved):
             images[x] = y
     # the factors sit inside supp(tau), so off it both sides are the identity
-    elems = f.tau.elements
-    return all(images[x] == y for x, y in zip(elems, elems[1:] + elems[:1]))
+    return all(images[x] == y for x, y in zip(tau, tau[1:] + tau[:1]))
 
 
 def _cycle_tables(d: int, e: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -341,9 +341,13 @@ class TestCheckLabelRanges:
         assert phi_labeled(psi(lm)) != lm
 
 
-def random_codec_matrix(rng, d, e):
-    """A uniform random codec matrix of type e, with S = {d+1, ..., d+r-1}."""
-    sv = tuple(range(d + 1, d + len(e) + 1))
+def random_codec_matrix(rng, d, e, negatives=0):
+    """A uniform random codec matrix of type e, with S = {d+1, ..., d+r-1}.
+
+    With `negatives`, that many S-vertices are -negatives, ..., -1 instead,
+    and the rest start at d+1.
+    """
+    sv = tuple(range(-negatives, 0)) + tuple(range(d + 1, d + len(e) + 1 - negatives))
     vd = (1,) + tuple(ei - 1 for ei in e)
     alphabet = [(w, b) for w, f in zip((0,) + sv, vd) for b in range(1, f + 1)]
     cols = [rng.choice(alphabet) for _ in e[1:]] + [(0, 1)]
@@ -403,18 +407,25 @@ class TestLargeRoundTrip:
 
     # the tree half alone at d = 10,000: decode, label, unfold and encode
     # each take one pass, so a deep path costs no more than a random tree
-    @pytest.mark.parametrize("kind", ["transpositions", "path"])
+    @pytest.mark.parametrize("kind", ["transpositions", "path", "mixed"])
     def test_tree_half_at_d_10000(self, kind):
         d = 10_000
         e = (2,) * (d - 1)
         if kind == "transpositions":
             h, sv, vd = random_codec_matrix(random.Random(f"{kind}-{d}"), d, e)
-        else:  # d+1 under the root, each next S-vertex under the one before
+        elif kind == "path":  # d+1 under the root, each next S-vertex under the one before
             sv, vd = tuple(range(d + 1, 2 * d)), (1,) * d
             h = PruferMatrix(tuple(range(d + 2, 2 * d)) + (0,), (1,) * (d - 1))
+        else:  # half of S below the root 0 and half above d, so nodes carry
+            # attached vertices on both sides of their own vertex
+            rng = random.Random(f"{kind}-{d}")
+            e = random_type(rng, d, 3333)
+            h, sv, vd = random_codec_matrix(rng, d, e, negatives=len(e) // 2)
         lm, ranges = unique_labeling(mnr_decode(h, sv, vd))
         assert mnr_encode(lm.mnr) == h
-        assert psi(lm).is_tree()
+        g = psi(lm)
+        assert g.is_tree()
+        assert gate_failure(g) is None and phi_labeled(g) == lm
         assert (ranges.vertex_ranges, ranges.node_ranges) == label_spans(lm)
 
 

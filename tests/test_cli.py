@@ -253,6 +253,26 @@ NEGATIVE_S = [
     ),
 ]
 
+# (direction, input, output): a transposition on {1, 2} in the ambient degree
+# 10^15, where one list or cycle over [d] would need petabytes; the arrows
+# work on supp(tau) only
+HUGE_D_FAC = '{"d":1000000000000000,"tau":[1,2],"sigmas":[[1,2]]}'
+HUGE_D_GRAPH = (
+    '{"d":1000000000000000,"S":[1000000000000001],'
+    '"edges":[[1000000000000001,1],[1000000000000001,2]],"tau":[1,2]}'
+)
+HUGE_D = [
+    ("fac2graph", HUGE_D_FAC, HUGE_D_GRAPH),
+    ("fac2mnr", HUGE_D_FAC, '{"S":[3],"vertex_data":[1,1],"edges":[{"parent":0,"child":3,"beta":1}]}'),
+    ("graph2fac", HUGE_D_GRAPH, HUGE_D_FAC),
+    (
+        "graph2mnr",
+        HUGE_D_GRAPH,
+        '{"S":[1000000000000001],"vertex_data":[1,1],"edges":[{"parent":0,"child":1000000000000001,"beta":1}],'
+        '"labels":{"(0,1)":1,"(1000000000000001,1)":2}}',
+    ),
+]
+
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -611,6 +631,12 @@ class TestConvert:
         "direction, stdin, expected", NEGATIVE_S, ids=["graph2mnr", "mnr2graph", "mnr2fac-down", "mnr2fac-up"]
     )
     def test_negative_s_round_trips(self, capsys, monkeypatch, direction, stdin, expected, roundtrip):
+        argv = ["convert", "--direction", direction, *(["--roundtrip"] if roundtrip else [])]
+        assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
+    @pytest.mark.parametrize("direction, stdin, expected", HUGE_D, ids=[d for d, _, _ in HUGE_D])
+    def test_small_support_in_huge_degree(self, capsys, monkeypatch, direction, stdin, expected, roundtrip):
         argv = ["convert", "--direction", direction, *(["--roundtrip"] if roundtrip else [])]
         assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (0, expected + "\n", "")
 
