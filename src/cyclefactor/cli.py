@@ -29,6 +29,7 @@ from .factorization import (
     count_by_cycle_index,
     count_factorizations,
     enumerate_factorizations,
+    factor_tuples,
     factorization_from_json,
     factorization_to_json,
     standardize,
@@ -168,6 +169,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    """Stream JSON lines, then ``count: N`` (and the --stats line) on stderr.
+
+    A factorization line is written from ``factor_tuples``, with no record built.
+    """
     count = 0
     stats: dict = {}
     start = time.perf_counter()
@@ -178,15 +183,17 @@ def cmd_enumerate(args) -> int:
         _check_cap(args.d, args)
         FactorizationType(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
-        # factorization_to_json(f), with its fixed d and tau rendered once
-        head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":'
-        write = sys.stdout.write
-        for f in enumerate_factorizations(args.d, tau, e, stats):
-            if args.kind == "factorization":
-                write(head + _encode([s.elements for s in f.sigmas]) + "}\n")
-            else:
+        if args.kind == "factorization":
+            # factorization_to_json(f), with its fixed d and tau rendered once
+            head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":'
+            write = sys.stdout.write
+            for elems in factor_tuples(args.d, tau, e, stats):
+                write(head + _encode(elems) + "}\n")
+                count += 1
+        else:
+            for f in enumerate_factorizations(args.d, tau, e, stats):
                 _emit(graph_to_json(graph_of(f)), sys.stdout)
-            count += 1
+                count += 1
     elif args.kind == "mnr":
         if args.vertex_data is None:
             raise ValueError("--vertex-data is required for kind mnr")

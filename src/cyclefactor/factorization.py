@@ -400,7 +400,14 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
             stack.pop()
 
 
-def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
+def factor_tuples(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Stream every factorization of tau with lengths e as its factors' element tuples.
+
+    Each factor is its canonical min-first tuple, in lexicographic order, and
+    an output shares its leading tuples (the same objects) with the one before.
+    Into ``stats`` go the walker's nodes, candidates and dead ends (genus 0) or
+    the search core's nodes, targets and reuses.
+    """
     e = tuple(e)
     ftype = FactorizationType(d, e)  # validates lengths and genus
     if tau.degree != d or tau.length != d:
@@ -415,19 +422,18 @@ def _stream_element_tuples(d: int, tau: Cycle, e: tuple[int, ...], stats: dict |
 def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[Factorization]:
     """Stream every factorization of tau with factor lengths e, exactly once.
 
-    The stream is in lexicographic order of the canonical factor sequences.
-    In genus 0 the walker counts into ``stats``, if given, the nodes it
-    enters, the candidate factors it tests and the dead ends among them.
+    The records of ``factor_tuples``, in its order and with its ``stats``;
+    a caller that only prints or counts the factors reads that stream
+    directly, as ``enumerate --kind factorization`` does.
     """
-    e = tuple(e)
-    ftype = FactorizationType(d, e)
-    stream = _stream_element_tuples(d, tau, e, stats)
+    ftype = FactorizationType(d, tuple(e))
+    stream = factor_tuples(d, tau, ftype.e, stats)
 
     def gen():
         # both searches emit distinct elements inside supp(tau), and
         # consecutive outputs share their leading factors' element tuples, so
         # a factor's Cycle is built once and kept while its tuple lasts
-        previous = sigmas = (None,) * len(e)
+        previous = sigmas = (None,) * len(ftype.e)
         for elem_tuple in stream:
             sigmas = tuple(
                 [s if x is y else Cycle(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
@@ -443,8 +449,7 @@ def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | No
 
     method:
       * ``bruteforce`` counts the enumeration stream (any genus), and in
-        genus 0 counts the walk into ``stats`` as ``enumerate_factorizations``
-        does;
+        genus 0 counts the walk into ``stats`` as ``factor_tuples`` does;
       * ``formula`` returns d^(r-2), valid only in genus 0;
       * ``bijection`` routes through the tree-family cardinality that the
         encoding maps factorizations onto, also genus 0 only.
@@ -452,7 +457,7 @@ def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | No
     e = tuple(e)
     ftype = FactorizationType(d, e)
     if method == "bruteforce":
-        return sum(1 for _ in _stream_element_tuples(d, standard_cycle(d), e, stats))
+        return sum(1 for _ in factor_tuples(d, standard_cycle(d), e, stats))
     if ftype.genus != 0:
         raise ValueError(f"method {method!r} requires genus 0, got genus {ftype.genus}")
     if method == "formula":

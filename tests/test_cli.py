@@ -22,7 +22,7 @@ from cyclefactor.factorization import enumerate_factorizations, factorization_to
 from cyclefactor.graph import factorization_of, graph_of, graph_to_json
 from cyclefactor.perm import standard_cycle
 from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_from_json, mnr_to_json
-from cyclefactor.verify import genus0_types
+from cyclefactor.verify import compositions, genus0_types
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -296,13 +296,20 @@ def stream_digest(capsys, max_d):
     return h.hexdigest()
 
 
-def library_lines(d, e, kind):
+def library_lines(d, e, kind, stats=None):
     """The JSON lines of the library stream, each written by json.dumps."""
     record = factorization_to_json if kind == "factorization" else lambda f: graph_to_json(graph_of(f))
     return [
         json.dumps(record(f), separators=(",", ":"))
-        for f in enumerate_factorizations(d, standard_cycle(d), e)
+        for f in enumerate_factorizations(d, standard_cycle(d), e, stats)
     ]
+
+
+# Every genus-0 type at d <= 6 and every genus-1 type at d <= 5, the latter
+# being every type with sum(e_i - 1) = d + 1 and each e_i <= d
+STREAM_TYPES = [(d, e) for d in range(2, 7) for e in genus0_types(d)] + [
+    (d, tuple(c + 1 for c in comp)) for d in range(2, 6) for comp in compositions(d + 1) if max(comp) < d
+]
 
 
 class TestOneParser:
@@ -556,6 +563,18 @@ class TestEnumerate:
         lines = library_lines(d, e, kind)
         assert (code, err) == (0, f"count: {len(lines)}\n")
         assert out.splitlines() == lines
+
+    @pytest.mark.parametrize("d,e", STREAM_TYPES, ids=[f"{d}-{e}" for d, e in STREAM_TYPES])
+    def test_stream_equals_library_stream(self, capsys, d, e):
+        code, out, err = run(capsys, "enumerate", "--kind", "factorization", "--d", str(d),
+                             "--e", ",".join(map(str, e)), "--stats")
+        stats: dict = {}
+        lines = library_lines(d, e, "factorization", stats)
+        count, line = err.splitlines()
+        got = json.loads(line)
+        assert (code, count, out.splitlines()) == (0, f"count: {len(lines)}", lines)
+        assert got.pop("seconds") >= 0
+        assert list(got.items()) == [*stats.items(), ("outputs", len(lines))]
 
     def test_closed_stdout_ends_quietly(self):
         # the reader keeps one line of 16,807 and closes the pipe, as `| head -1` does

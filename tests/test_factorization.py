@@ -154,7 +154,7 @@ class TestEnumeration:
 
     def test_genus0_walker_matches_cayley_search(self):
         # oracle: the Cayley-prune search, which tries every e-cycle of S_d
-        from cyclefactor.factorization import _cayley_stream, _stream_element_tuples
+        from cyclefactor.factorization import _cayley_stream, factor_tuples
 
         rng = random.Random(3)
         for d in range(2, 8):
@@ -163,7 +163,7 @@ class TestEnumeration:
             for tau in (standard_cycle(d), Cycle(d, (1, *rest))):
                 for e in genus0_types(d):
                     expected = list(_cayley_stream(d, tau, e))
-                    assert list(_stream_element_tuples(d, tau, e)) == expected
+                    assert list(factor_tuples(d, tau, e)) == expected
 
     def test_emitted_factors_equal_validated_cycles(self):
         for d in range(2, 7):
@@ -173,12 +173,12 @@ class TestEnumeration:
                         assert s == Cycle(d, s.elements)
 
     def test_genus0_walker_nodes_per_output(self):
-        from cyclefactor.factorization import _stream_element_tuples
+        from cyclefactor.factorization import factor_tuples
 
         for d in range(2, 9):
             for e in genus0_types(d):
                 stats = {}
-                outputs = sum(1 for _ in _stream_element_tuples(d, standard_cycle(d), e, stats))
+                outputs = sum(1 for _ in factor_tuples(d, standard_cycle(d), e, stats))
                 assert outputs == d ** (len(e) - 1)
                 assert stats["nodes"] <= 3 * outputs, (d, e, stats, outputs)
                 assert stats["candidates"] < d * outputs, (d, e, stats, outputs)

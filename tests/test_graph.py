@@ -120,6 +120,24 @@ class TestFactorizationOf:
                     assert factorization_of(g) == f
                     assert graph_of(factorization_of(g)) == g
 
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            Cycle(4, (1, 3, 2, 4)),
+            # seeded random d-cycles that start at 1 and end at d
+            *(Cycle(d, (1, *random.Random(0).sample(range(2, d), d - 2), d)) for d in (5, 6)),
+        ],
+        ids=str,
+    )
+    def test_round_trip_on_other_base_cycles(self, tau):
+        # a shortcut that reads a graph clockwise as if tau were (1 2 ... d)
+        # whenever tau runs from 1 to d would misread these
+        d = tau.length
+        assert tau != standard_cycle(d)
+        for e in genus0_types(d):
+            for f in enumerate_factorizations(d, tau, e):
+                assert factorization_of(graph_of(f)) == f
+
     def test_error_names_condition(self, assert_gate_rejects):
         g = FactorizationGraph(
             4,
