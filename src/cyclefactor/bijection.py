@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graph import FactorizationGraph, check_svertices
+from .graph import FactorizationGraph
 from .perm import standard_cycle
 from .trees import LabeledMNR, MultiNodedRootedTree, RootedTree
 
@@ -67,13 +67,12 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     """Unfold a labeled multi-noded rooted tree into an S-[d] bipartite tree.
 
     Each S-vertex is joined to the labels of its own nodes and to the label
-    of the parent node it hangs from.  Total on labeled trees whose
-    S-vertices avoid [0, d]; whether the result is a factorization graph is
-    exactly the characterization predicate.
+    of the parent node it hangs from.  It trusts the S-vertices to avoid
+    [0, d], as the tree reader of ``convert`` proves; whether the result is a
+    factorization graph is exactly the characterization predicate.
     """
     m = lm.mnr
     d = m.total_nodes
-    check_svertices(d, m.tree.svertices)
     edges = set()
     for s in m.tree.svertices:
         for pos in range(1, m.f_of(s) + 1):

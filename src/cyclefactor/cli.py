@@ -36,6 +36,7 @@ from .factorization import (
 )
 from .graph import (
     FactorizationGraph,
+    check_svertices,
     default_svertices,
     factorization_of,
     gate_failure,
@@ -198,6 +199,7 @@ def cmd_enumerate(args) -> int:
         if args.vertex_data is None:
             raise ValueError("--vertex-data is required for kind mnr")
         vd = _parse_int_list(args.vertex_data, "--vertex-data")
+        _check_cap(sum(vd), args)  # the node counts sum to the degree
         if args.s is not None:
             svertices = _parse_int_list(args.s, "--s")
         else:
@@ -257,7 +259,7 @@ def _arrows(source: str, target: str) -> list:
 
 def _read(kind: str, data: dict):
     """The JSON data as a value of the kind; a graph must pass the gate, and a
-    labeled tree must carry its unique labeling."""
+    labeled tree must carry its unique labeling and S-vertices outside [0, d]."""
     if kind == "graph":
         g = graph_from_json(data)
         if failure := gate_failure(g):
@@ -271,6 +273,7 @@ def _read(kind: str, data: dict):
         for (node, x), (_, y) in zip(labels_from_json(m, data).labels, lm.labels):
             if x != y:
                 raise ValueError(f"node {node} is labeled {x}; the tree's unique labeling gives {y}")
+    check_svertices(m.total_nodes, m.tree.svertices)
     return lm
 
 
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e")
     p.add_argument("--vertex-data")
     p.add_argument("--s", help="comma-separated S-vertex values")
-    p.add_argument("--cap", type=int, help=f"degree cap for factorization and graph (default ${ENV_CAP} or 7)")
+    p.add_argument("--cap", type=int, help=f"degree cap, on --d or the sum of --vertex-data (default ${ENV_CAP} or 7)")
     p.add_argument("--stats", action="store_true", help="after the count, one JSON line of search statistics on stderr")
     p.set_defaults(func=cmd_enumerate)
 

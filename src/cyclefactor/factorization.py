@@ -531,20 +531,19 @@ def _transitive(perms_images, d: int) -> bool:
     return len(orbit) == d
 
 
-def hurwitz_count_bruteforce(h: HurwitzDatum, max_degree: int = 6) -> Fraction:
+HURWITZ_MAX_DEGREE = 6  # the search tables hold all d! permutations
+
+
+def hurwitz_count_bruteforce(h: HurwitzDatum) -> Fraction:
     """Count Hurwitz factorizations for the datum, divided by d!.
 
     Enumerates tuples (sigma_1, ..., sigma_r) with the prescribed cycle
     types, product the identity, and transitive joint action.  The last
-    factor is solved for.  Degrees above ``max_degree`` are refused; pass a
-    larger cap explicitly to override.
+    factor is solved for.  Degrees above ``HURWITZ_MAX_DEGREE`` are refused.
     """
     d = h.d
-    if d > max_degree:
-        raise CapExceededError(
-            f"degree {d} exceeds the brute-force cap {max_degree}; "
-            "pass max_degree explicitly to override"
-        )
+    if d > HURWITZ_MAX_DEGREE:
+        raise CapExceededError(f"degree {d} exceeds the brute-force cap {HURWITZ_MAX_DEGREE}")
 
     def type_of(imgs) -> tuple[int, ...]:
         return tuple(sorted(map(len, cycles_of(imgs)), reverse=True))

@@ -73,13 +73,9 @@ class FactorizationGraph:
         return tuple(len(self._s_adj[s]) for s in self.svertices)
 
     def neighbors_of_s(self, s: int) -> tuple[int, ...]:
-        if s not in self._s_adj:
-            raise ValueError(f"no S-vertex {s} in this graph")
         return self._s_adj[s]
 
     def neighbors_of_v(self, v: int) -> tuple[int, ...]:
-        if v not in self._v_adj:
-            raise ValueError(f"no [d]-vertex {v} in this graph")
         return self._v_adj[v]
 
     def circle(self) -> CircleOrder:
@@ -118,19 +114,15 @@ class FactorizationGraph:
         return comps
 
 
-def graph_of(f: Factorization, svertices: tuple[int, ...] | None = None) -> FactorizationGraph:
-    """The support graph of a factorization; S defaults to {d+1, ..., d+r-1}.
+def graph_of(f: Factorization) -> FactorizationGraph:
+    """The support graph of a factorization, on S = {d+1, ..., d+r-1}.
 
     It checks nothing: a factorization is validated where it is read, and the
-    gate rejects the graph of factors that do not multiply to tau.
+    gate rejects the graph of factors that do not multiply to tau.  A graph
+    on another S is built with ``FactorizationGraph`` directly.
     """
     ambient = f.tau.degree
-    if svertices is None:
-        svertices = default_svertices(ambient, len(f.sigmas))
-    if len(svertices) != len(f.sigmas):
-        raise ValueError(
-            f"need {len(f.sigmas)} S-vertices, got {len(svertices)}"
-        )
+    svertices = default_svertices(ambient, len(f.sigmas))
     edges = frozenset(
         (s, v) for s, sigma in zip(svertices, f.sigmas) for v in sigma.elements
     )

@@ -10,7 +10,8 @@ positions 1..f_i running left to right.
 
 The tree records are plain records whose constructors check nothing: the
 ``*_from_json`` readers prove outside data with ``check_tree``, ``check_mnr``
-and ``check_labeled``, which also prove a tree built by hand.
+and ``check_labeled``, which also prove a tree built by hand.  So is a codec
+matrix: ``matrix_from_json`` proves its rows, ``mnr_decode`` the tree they code.
 """
 
 from __future__ import annotations
@@ -221,22 +222,10 @@ def check_labeled(lm: LabeledMNR) -> LabeledMNR:
 
 @dataclass(frozen=True)
 class PruferMatrix:
-    """The 2xn codec image of a multi-noded rooted tree: parents over beta values."""
+    """The 2xn codec image of a multi-noded rooted tree, parents over beta values; a plain record."""
 
     top: tuple[int, ...]
     bottom: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        top = tuple(self.top)
-        bottom = tuple(self.bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        if len(top) != len(bottom) or not top:
-            raise ValueError("matrix rows must be nonempty and of equal length")
-        if top[-1] != 0:
-            raise ValueError("last top entry must be the root 0")
-        if any(b < 1 for b in bottom):
-            raise ValueError("bottom entries must be positive")
 
 
 def mnr_encode(m: MultiNodedRootedTree) -> PruferMatrix:
@@ -371,8 +360,14 @@ def matrix_to_json(h: PruferMatrix, svertices, vertex_data) -> dict:
 
 def matrix_from_json(data: dict) -> tuple[PruferMatrix, tuple[int, ...], tuple[int, ...]]:
     top, bottom, svertices, vertex_data = fields(data, "top", "bottom", "S", "vertex_data")
-    h = PruferMatrix(integers(top, "top"), integers(bottom, "bottom"))
-    return h, integers(svertices, "S"), integers(vertex_data, "vertex_data")
+    top, bottom = integers(top, "top"), integers(bottom, "bottom")
+    if len(top) != len(bottom) or not top:
+        raise ValueError("matrix rows must be nonempty and of equal length")
+    if top[-1] != 0:
+        raise ValueError("last top entry must be the root 0")
+    if any(b < 1 for b in bottom):
+        raise ValueError("bottom entries must be positive")
+    return PruferMatrix(top, bottom), integers(svertices, "S"), integers(vertex_data, "vertex_data")
 
 
 def mnr_to_dot(m: MultiNodedRootedTree, labels: dict | None = None) -> str:

@@ -181,6 +181,18 @@ BAD_TREES = [
     ),
 ]
 
+# (id, input, message): one codec matrix for every check that the matrix
+# reader runs on the two rows, and inputs that break several, for their order
+BAD_MATRICES = [
+    ("unequal-rows", '{"S":[5],"vertex_data":[1,1],"top":[0],"bottom":[1,1]}', "matrix rows must be nonempty and of equal length"),
+    ("empty-rows", '{"S":[],"vertex_data":[1],"top":[],"bottom":[]}', "matrix rows must be nonempty and of equal length"),
+    ("top-not-root", '{"S":[5,6],"vertex_data":[1,1,1],"top":[0,5],"bottom":[1,1]}', "last top entry must be the root 0"),
+    ("bottom-zero", '{"S":[5],"vertex_data":[1,1],"top":[0],"bottom":[0]}', "bottom entries must be positive"),
+    # rows of unequal length, whose top ends off the root and whose bottom holds 0
+    ("rows-first", '{"S":[5],"vertex_data":[1,1],"top":[5],"bottom":[0,1]}', "matrix rows must be nonempty and of equal length"),
+    ("top-before-bottom", '{"S":[5],"vertex_data":[1,1],"top":[5],"bottom":[0]}', "last top entry must be the root 0"),
+]
+
 # (id, direction, input, message): one input for every check that the
 # factorization and graph readers run on a cycle or on S, and for their order
 BAD_CYCLES = [
@@ -493,6 +505,13 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--kind", kind, "--d", "1100", "--e", e)
         assert (code, out) == (3, "")
         assert err == "error: degree 1100 exceeds the cap 7; pass --cap to override\n"
+
+    def test_mnr_cap_exceeded(self, capsys, monkeypatch):
+        # the node counts sum to the degree: 10^8 + 1 here, about 10^8 codec letters
+        monkeypatch.delenv("CYCLEFACTOR_MAX_D", raising=False)
+        code, out, err = run(capsys, "enumerate", "--kind", "mnr", "--vertex-data", "1,100000000")
+        assert (code, out) == (3, "")
+        assert err == "error: degree 100000001 exceeds the cap 7; pass --cap to override\n"
 
     @pytest.mark.parametrize("kind", ["factorization", "graph"])
     def test_cap_override(self, capsys, monkeypatch, kind):
@@ -1005,6 +1024,13 @@ class TestInputErrorsNameTheField:
     )
     def test_bad_tree(self, capsys, monkeypatch, direction, stdin, message):
         argv = ("convert", "--direction", direction)
+        assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "stdin, message", [case[1:] for case in BAD_MATRICES], ids=[case[0] for case in BAD_MATRICES]
+    )
+    def test_bad_matrix(self, capsys, monkeypatch, stdin, message):
+        argv = ("convert", "--direction", "prufer2mnr")
         assert run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -85,10 +85,6 @@ class TestGraphOf:
         assert set(g.edges) == {(4, 1), (4, 2), (5, 2), (5, 3)}
         assert g.is_tree()
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            graph_of(worked_factorization(), (21, 22))
-
     def test_invalid_factorization_rejected(self, assert_gate_rejects):
         # graph_of checks nothing; the reader and the gate reject the input
         tau = standard_cycle(3)
@@ -385,8 +381,7 @@ class TestSerialization:
 
     def test_nondefault_svertices_round_trip(self):
         tau = standard_cycle(3)
-        f = Factorization(FactorizationType(3, (3,)), tau, (tau,))
-        g = graph_of(f, (-7,))
+        g = FactorizationGraph(3, (-7,), frozenset((-7, v) for v in tau.elements), tau)
         assert graph_from_json(graph_to_json(g)) == g
 
     def test_dot_node_count(self):
