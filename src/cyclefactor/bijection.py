@@ -73,12 +73,9 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     """
     m = lm.mnr
     d = m.total_nodes
-    edges = set()
-    for s in m.tree.svertices:
-        for pos in range(1, m.f_of(s) + 1):
-            edges.add((s, lm.label_of((s, pos))))
-        pvertex = m.tree.parent_of(s)
-        edges.add((s, lm.label_of((pvertex, m.beta_of(s)))))
+    label_of, parent_of, beta_of = lm.label_of, m.tree.parent_of, m.beta_of
+    edges = [(v, x) for (v, _), x in lm.labels if v]  # each S-vertex to its own nodes, the root 0 left out
+    edges.extend([(s, label_of((parent_of(s), beta_of(s)))) for s in m.tree.svertices])
     return FactorizationGraph(d, m.tree.svertices, frozenset(edges), standard_cycle(d))
 
 
@@ -116,13 +113,18 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
             stack.append((_CLOSE, (ranges.vertex_ranges, item, last + 1)))
             stack.extend([(_NODE, (item, pos)) for pos in range(m.f_of(item), 0, -1)])
         else:  # a node: the vertices below its vertex's value, itself, those above
-            kids = attached.get(item, ())
+            kids = attached.get(item)
+            if not kids:  # a leaf node: its label is its whole range
+                last += 1
+                labels[item] = last
+                ranges.node_ranges[item] = (last, last)
+                continue
             split = bisect_left(kids, item[0]) if item[0] else 0
             stack.append((_CLOSE, (ranges.node_ranges, item, last + 1)))
             stack.extend([(_VERTEX, c) for c in kids[split:]])  # popped largest first
             stack.append((_LABEL, item))
             stack.extend([(_VERTEX, c) for c in kids[:split]])
-    return LabeledMNR(m, tuple(labels.items())), ranges
+    return LabeledMNR(m, tuple((node, labels[node]) for node in m.nodes())), ranges
 
 
 def standardize_graph(g: FactorizationGraph) -> tuple[FactorizationGraph, dict[int, int]]:

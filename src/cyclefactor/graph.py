@@ -47,8 +47,10 @@ class FactorizationGraph:
     a sub-circle for the subtrees produced by :func:`decompose_at_last`).
     ``svertices`` is a strictly increasing tuple of integers outside [0, d].
     A plain record: the constructor only builds the adjacency of the frozenset
-    ``edges``; ``graph_from_json`` checks outside data, and ``gate_failure``
-    proves a hand-built graph.
+    ``edges``, per S-vertex, with no sort of the whole edge set: each S-vertex
+    lists its [d]-neighbors increasing, and each [d]-vertex its S-neighbors
+    increasing, as ``has_cicpp`` needs.  ``graph_from_json`` checks outside
+    data, and ``gate_failure`` proves a hand-built graph.
     """
 
     d: int
@@ -60,11 +62,13 @@ class FactorizationGraph:
 
     def __post_init__(self) -> None:
         s_adj: dict[int, list[int]] = {s: [] for s in self.svertices}
-        v_adj: dict[int, list[int]] = {v: [] for v in self.tau.elements}
-        # sorted, so that each [d]-vertex lists its S-neighbors increasing
-        for s, v in sorted(self.edges):
+        for s, v in self.edges:
             s_adj[s].append(v)
-            v_adj[v].append(s)
+        v_adj: dict[int, list[int]] = {v: [] for v in self.tau.elements}
+        for s, vs in s_adj.items():  # S in increasing order
+            vs.sort()
+            for v in vs:
+                v_adj[v].append(s)
         object.__setattr__(self, "_s_adj", {s: tuple(vs) for s, vs in s_adj.items()})
         object.__setattr__(self, "_v_adj", {v: tuple(ss) for v, ss in v_adj.items()})
 
@@ -227,17 +231,21 @@ def gate_failure(g: FactorizationGraph) -> str | None:
 def factorization_of(g: FactorizationGraph) -> Factorization:
     """Recover the factorization: read each S-vertex's neighbors clockwise.
 
-    It trusts g to be a factorization graph; ``gate_failure`` proves a graph
-    read from outside.
+    One walk clockwise round tau hands every [d]-vertex to its S-neighbors,
+    so each S-vertex receives its neighbors in circle order.  It trusts g to
+    be a factorization graph; ``gate_failure`` proves a graph read from
+    outside.
     """
     if not g.svertices:
         raise ValueError(
             "the lone vertex is the graph of the empty factorization, which a Factorization cannot hold"
         )
-    circle = g.circle()
-    sigmas = tuple(
-        circle.clockwise_cycle(g.neighbors_of_s(s)) for s in g.svertices
-    )
+    readings: dict[int, list[int]] = {s: [] for s in g.svertices}
+    v_adj = g._v_adj
+    for v in g.tau.elements:
+        for s in v_adj[v]:
+            readings[s].append(v)
+    sigmas = tuple(Cycle(g.tau.degree, tuple(vs)) for vs in readings.values())
     ftype = FactorizationType(g.tau.length, tuple(s.length for s in sigmas))
     return Factorization(ftype, g.tau, sigmas)
 

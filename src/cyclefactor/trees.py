@@ -246,6 +246,8 @@ def mnr_decode(h: PruferMatrix, svertices, vertex_data) -> MultiNodedRootedTree:
     steps = _decode_steps(h.top, svertices)
     if any(a >= b for a, b in zip(svertices, svertices[1:])):
         raise ValueError(f"S must be strictly increasing, since vertex_data follows its order, got {list(svertices)}")
+    if len(h.bottom) != len(h.top):
+        raise ValueError("matrix rows must be nonempty and of equal length")
     beta = tuple((v, b) for (v, _), b in zip(steps, h.bottom))
     m = MultiNodedRootedTree(RootedTree(svertices, tuple(steps)), vertex_data, beta)
     for (v, w), b in zip(steps, h.bottom):

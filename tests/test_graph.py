@@ -66,6 +66,37 @@ WORKED_EDGES = {
 }
 
 
+OTHER_TAUS = [
+    Cycle(4, (1, 3, 2, 4)),
+    # seeded random d-cycles that start at 1 and end at d
+    *(Cycle(d, (1, *random.Random(0).sample(range(2, d), d - 2), d)) for d in (5, 6)),
+]
+
+
+def genus0_graphs(taus):
+    """The graph of every genus-0 factorization of each tau."""
+    for tau in taus:
+        for e in genus0_types(tau.length):
+            for f in enumerate_factorizations(tau.length, tau, e):
+                yield graph_of(f)
+
+
+def subtrees_below(g):
+    """Every multi-vertex subtree of repeated ``decompose_at_last``, g excluded."""
+    dec = decompose_at_last(g)
+    for sub in dec.subtrees[: dec.k]:
+        yield sub
+        yield from subtrees_below(sub)
+
+
+def with_negative_svertices(g):
+    """g with its first half of S moved below 0, the order of S kept."""
+    low = (len(g.svertices) + 1) // 2
+    shift = {s: s - 3 * (g.d + len(g.svertices)) if i < low else s for i, s in enumerate(g.svertices)}
+    edges = frozenset((shift[s], v) for s, v in g.edges)
+    return FactorizationGraph(g.d, tuple(shift.values()), edges, g.tau)
+
+
 class TestGraphOf:
     def test_worked_edge_set(self):
         g = graph_of(worked_factorization())
@@ -96,6 +127,64 @@ class TestGraphOf:
         assert_gate_rejects(graph_of(bad), "the clockwise reading does not multiply to tau")
 
 
+def sorted_adjacency(g):
+    """Both adjacency maps, read off the sorted edge list."""
+    s_adj = {s: [] for s in g.svertices}
+    v_adj = {v: [] for v in g.tau.elements}
+    for s, v in sorted(g.edges):
+        s_adj[s].append(v)
+        v_adj[v].append(s)
+    return (
+        {s: tuple(vs) for s, vs in s_adj.items()},
+        {v: tuple(ss) for v, ss in v_adj.items()},
+    )
+
+
+class TestAdjacency:
+    """Each S-vertex lists its [d]-neighbors increasing, each [d]-vertex its S-neighbors."""
+
+    @staticmethod
+    def assert_sorted(g):
+        s_adj, v_adj = sorted_adjacency(g)
+        assert {s: g.neighbors_of_s(s) for s in g.svertices} == s_adj
+        assert {v: g.neighbors_of_v(v) for v in g.tau.elements} == v_adj
+
+    def test_genus0_graphs(self):
+        for g in genus0_graphs(standard_cycle(d) for d in range(2, 7)):
+            self.assert_sorted(g)
+            self.assert_sorted(with_negative_svertices(g))
+
+    def test_decomposition_subtrees(self):
+        for g in genus0_graphs([*(standard_cycle(d) for d in range(2, 7)), *OTHER_TAUS]):
+            for sub in subtrees_below(g):
+                self.assert_sorted(sub)
+
+    @pytest.mark.parametrize(
+        "d,e", [(4, (2, 2, 2)), (5, (3, 2, 2)), (6, (4, 3)), (6, (3, 3, 2))], ids=str
+    )
+    def test_random_degree_graphs(self, d, e):
+        graphs = list(enumerate_degree_graphs(d, e))
+        for g in random.Random(f"adjacency-{d}-{e}").sample(graphs, 50):
+            self.assert_sorted(g)
+            self.assert_sorted(with_negative_svertices(g))
+
+    def test_random_graph_at_d_300(self):
+        # long adjacency lists, half of S below 0
+        d = 300
+        rng = random.Random(f"adjacency-{d}")
+        svertices = (*range(-200, -100), *range(d + 1, d + 101))
+        edges = frozenset(
+            (s, v) for s in svertices for v in rng.sample(range(1, d + 1), rng.randint(1, 9))
+        )
+        self.assert_sorted(FactorizationGraph(d, svertices, edges, standard_cycle(d)))
+
+
+def clockwise_reading(g):
+    """Each S-vertex's neighbors, sorted clockwise round g's circle."""
+    circle = g.circle()
+    return tuple(circle.clockwise_cycle(g.neighbors_of_s(s)) for s in g.svertices)
+
+
 class TestFactorizationOf:
     def test_worked_recovery(self):
         g = graph_of(worked_factorization())
@@ -116,15 +205,7 @@ class TestFactorizationOf:
                     assert factorization_of(g) == f
                     assert graph_of(factorization_of(g)) == g
 
-    @pytest.mark.parametrize(
-        "tau",
-        [
-            Cycle(4, (1, 3, 2, 4)),
-            # seeded random d-cycles that start at 1 and end at d
-            *(Cycle(d, (1, *random.Random(0).sample(range(2, d), d - 2), d)) for d in (5, 6)),
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("tau", OTHER_TAUS, ids=str)
     def test_round_trip_on_other_base_cycles(self, tau):
         # a shortcut that reads a graph clockwise as if tau were (1 2 ... d)
         # whenever tau runs from 1 to d would misread these
@@ -133,6 +214,15 @@ class TestFactorizationOf:
         for e in genus0_types(d):
             for f in enumerate_factorizations(d, tau, e):
                 assert factorization_of(graph_of(f)) == f
+
+    @pytest.mark.parametrize(
+        "taus", [[standard_cycle(d) for d in range(2, 7)], OTHER_TAUS], ids=["standard", "other"]
+    )
+    def test_equals_clockwise_reading(self, taus):
+        # on every graph and every sub-circle of its repeated decomposition
+        for g in genus0_graphs(taus):
+            for h in (g, *subtrees_below(g)):
+                assert factorization_of(h).sigmas == clockwise_reading(h)
 
     def test_error_names_condition(self, assert_gate_rejects):
         g = FactorizationGraph(

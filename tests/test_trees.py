@@ -200,6 +200,12 @@ class TestMnrCodec:
         with pytest.raises(ValueError):
             mnr_decode(h, (3, 5), (1, 1, 1))
 
+    @pytest.mark.parametrize("bottom", [(1,), (1, 1, 1)], ids=["short", "long"])
+    def test_bottom_row_length_must_match_top(self, bottom):
+        # a hand-built matrix skips matrix_from_json, so the decoder refuses it
+        with pytest.raises(ValueError, match="^matrix rows must be nonempty and of equal length$"):
+            mnr_decode(PruferMatrix((6, 0), bottom), (5, 6), (1, 1, 1))
+
     def test_beta_validation_at_construction(self):
         # the constructor trusts its input; check_mnr proves a hand-built tree
         m = MultiNodedRootedTree(RootedTree((4, 5), ((4, 0), (5, 4))), (1, 1, 1), ((4, 1), (5, 2)))
