@@ -11,11 +11,8 @@ from .perm import (
     Cycle,
     CycleType,
     NotMaximal,
-    Permutation,
     check_cycle,
     compose,
-    cycle_decomposition,
-    cycle_type,
     index,
     is_clockwise_on,
     is_counterclockwise_on,
@@ -44,7 +41,6 @@ from .factorization import (
 from .graph import (
     Decomposition,
     FactorizationGraph,
-    collapse_transposition_graph,
     decompose_at_last,
     default_svertices,
     enumerate_degree_graphs,
@@ -82,7 +78,6 @@ from .trees import (
 )
 from .bijection import (
     LabelRanges,
-    phi,
     phi_labeled,
     psi,
     standardize_graph,

@@ -58,11 +58,6 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
     return LabeledMNR(mnr, tuple((node, v) for v, node in owner.items()))
 
 
-def phi(g: FactorizationGraph) -> MultiNodedRootedTree:
-    """``phi_labeled`` with the node labels discarded."""
-    return phi_labeled(g).mnr
-
-
 def psi(lm: LabeledMNR) -> FactorizationGraph:
     """Unfold a labeled multi-noded rooted tree into an S-[d] bipartite tree.
 

@@ -43,7 +43,6 @@ from ._json import array, fields, integer, integers
 from .perm import (
     Cycle,
     CycleType,
-    Permutation,
     check_cycle,
     cycles_of,
     index,
@@ -149,10 +148,7 @@ def _cycle_tables(d: int, e: int) -> list[tuple[tuple[int, ...], tuple[int, ...]
     for first in range(1, d + 1):
         for rest in itertools.permutations(range(first + 1, d + 1), e - 1):
             elems = (first, *rest)
-            inv = list(range(1, d + 1))
-            for i, x in enumerate(elems):
-                inv[x - 1] = elems[i - 1]
-            tables.append((elems, tuple(inv)))
+            tables.append((elems, Cycle(d, elems[::-1]).images()))
     return tables
 
 
@@ -239,7 +235,7 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
 
 def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
     """The `_search` stream for any genus; tau and e are already validated."""
-    target = tau.to_permutation().images
+    target = tau.images()
     # remaining Cayley-distance budget before sigma_{k+1} is chosen
     budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
     by_length = {ei: _cycle_tables(d, ei) for ei in set(e[:-1])}
@@ -550,9 +546,10 @@ def hurwitz_count_bruteforce(h: HurwitzDatum) -> Fraction:
 
     by_type: dict[tuple[int, ...], list] = {}
     for images in itertools.permutations(range(1, d + 1)):
-        by_type.setdefault(type_of(images), []).append(
-            (images, Permutation(d, images).inverse().images)
-        )
+        inverse = [0] * d
+        for x, y in enumerate(images, start=1):
+            inverse[y - 1] = x
+        by_type.setdefault(type_of(images), []).append((images, tuple(inverse)))
     tables = [by_type.get(t.partition, []) for t in h.lambdas[:-1]]
     last_type = h.lambdas[-1].partition
     # remaining index budget before sigma_{k+1} is chosen

@@ -296,17 +296,6 @@ def decompose_at_last(g: FactorizationGraph) -> Decomposition:
     return Decomposition(k, tuple(subtrees), tuple(bsets), gammas, sizes)
 
 
-def collapse_transposition_graph(g: FactorizationGraph) -> tuple[tuple[int, int], ...]:
-    """Collapse degree-2 S-vertices into direct edges: a labeled tree on [d]."""
-    edges = []
-    for s in g.svertices:
-        nbrs = g.neighbors_of_s(s)
-        if len(nbrs) != 2:
-            raise ValueError(f"S-vertex {s} has degree {len(nbrs)}, expected 2")
-        edges.append((min(nbrs), max(nbrs)))
-    return tuple(sorted(edges))
-
-
 def enumerate_degree_graphs(d: int, e):
     """Every S-[d] bipartite graph with the prescribed S-degrees, one by one.
 

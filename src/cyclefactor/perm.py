@@ -1,8 +1,10 @@
-"""Permutations, cycles, and circular reading order on {1, ..., d}.
+"""Cycles, image tuples and circular reading order on {1, ..., d}.
 
-All values are immutable and all functions are pure, so everything here is
-safe to share across threads.  Composition is right-to-left throughout:
-``compose(p, q)(x) == p(q(x))``, i.e. the right factor acts first.
+A permutation of {1, ..., d} is its image tuple: ``images[x - 1]`` is the
+image of x.  All values are immutable and all functions are pure, so
+everything here is safe to share across threads.  Composition is
+right-to-left throughout: ``compose(p, q)[x - 1] == p[q[x - 1] - 1]``, i.e.
+the right factor acts first.
 
 A ``Cycle`` is a plain value: its constructor only rotates the elements to
 start at their minimum.  ``check_cycle`` proves elements read from outside;
@@ -12,57 +14,6 @@ the functions here build cycles from cycles already proved and trust them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, ..., degree}; ``images[i-1]`` is the image of ``i``.
-
-    >>> p = Permutation.from_cycles(3, [(1, 2, 3)])
-    >>> p(1), p(3)
-    (2, 1)
-    """
-
-    degree: int
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be a positive integer")
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(1, self.degree + 1)):
-            raise ValueError(f"not a bijection of [1, {self.degree}]: {images!r}")
-
-    @classmethod
-    def identity(cls, degree: int) -> Permutation:
-        return cls(degree, tuple(range(1, degree + 1)))
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles) -> Permutation:
-        """Build a permutation from disjoint cycles given as element sequences."""
-        images = list(range(1, degree + 1))
-        seen: set[int] = set()
-        for elems in cycles:
-            elems = tuple(elems)
-            for x in elems:
-                if not 1 <= x <= degree:
-                    raise ValueError(f"element {x} outside [1, {degree}]")
-                if x in seen:
-                    raise ValueError(f"cycles are not disjoint at {x}")
-                seen.add(x)
-            for i, x in enumerate(elems):
-                images[x - 1] = elems[(i + 1) % len(elems)]
-        return cls(degree, tuple(images))
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for i, y in enumerate(self.images):
-            inv[y - 1] = i + 1
-        return Permutation(self.degree, tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -97,8 +48,17 @@ class Cycle:
     def support(self) -> frozenset[int]:
         return frozenset(self.elements)
 
-    def to_permutation(self) -> Permutation:
-        return Permutation.from_cycles(self.degree, [self.elements])
+    def images(self) -> tuple[int, ...]:
+        """The image tuple of this cycle in its degree.
+
+        >>> Cycle(4, (1, 3, 2)).images()
+        (3, 1, 2, 4)
+        """
+        images = list(range(1, self.degree + 1))
+        elems = self.elements
+        for x, y in zip(elems, elems[1:] + elems[:1]):
+            images[x - 1] = y
+        return tuple(images)
 
     def inverse(self) -> Cycle:
         return Cycle(self.degree, tuple(reversed(self.elements)))
@@ -153,17 +113,20 @@ def index(t: CycleType) -> int:
     return sum(p - 1 for p in t.partition)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The product pq with the right factor acting first: (pq)(x) = p(q(x))."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    pi = p.images
-    return Permutation(p.degree, tuple(pi[y - 1] for y in q.images))
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product pq of two image tuples, the right factor acting first.
+
+    >>> compose((2, 3, 1), (2, 1, 3))  # (1 2 3)(1 2) = (1 3)
+    (3, 2, 1)
+    """
+    if len(p) != len(q):
+        raise ValueError(f"degree mismatch: {len(p)} != {len(q)}")
+    return tuple(p[y - 1] for y in q)
 
 
-def product(perms, degree: int) -> Permutation:
-    """The ordered product p1 p2 ... pn (empty product is the identity)."""
-    result = Permutation.identity(degree)
+def product(perms, degree: int) -> tuple[int, ...]:
+    """The ordered product p1 p2 ... pn of image tuples (empty product is the identity)."""
+    result = tuple(range(1, degree + 1))
     for p in perms:
         result = compose(result, p)
     return result
@@ -194,23 +157,6 @@ def cycles_of(images, points=None) -> list[tuple[int, ...]]:
             x = images[x - 1]
         cycles.append(tuple(cycle))
     return cycles
-
-
-def cycle_decomposition(p: Permutation) -> list[Cycle]:
-    """Disjoint cycles of p, fixed points included as 1-cycles.
-
-    The cycles are support-disjoint, cover [1, degree], and are sorted by
-    their minimum element.
-
-    >>> [str(c) for c in cycle_decomposition(Permutation.from_cycles(5, [(1, 3), (2, 4)]))]
-    ['(1 3)', '(2 4)', '(5)']
-    """
-    return [Cycle(p.degree, c) for c in cycles_of(p.images)]
-
-
-def cycle_type(p: Permutation) -> CycleType:
-    lengths = sorted((c.length for c in cycle_decomposition(p)), reverse=True)
-    return CycleType(tuple(lengths))
 
 
 def standard_cycle(d: int) -> Cycle:
@@ -317,9 +263,10 @@ def split_circle_product(mu: Cycle, eta: Cycle) -> list[Cycle] | NotMaximal:
         raise ValueError(f"support of {eta} is not contained in support of {mu}")
     p = eta.length
 
-    # Cycle count of mu*eta on supp(mu), without building permutation objects.
-    mu_next = {x: mu.elements[(i + 1) % mu.length] for i, x in enumerate(mu.elements)}
-    eta_next = {x: eta.elements[(i + 1) % eta.length] for i, x in enumerate(eta.elements)}
+    # Cycle count of mu*eta on supp(mu), without building full image tuples.
+    m, h = mu.elements, eta.elements
+    mu_next = dict(zip(m, m[1:] + m[:1]))
+    eta_next = dict(zip(h, h[1:] + h[:1]))
     prod = list(range(1, mu.degree + 1))
     for x in mu.elements:
         prod[x - 1] = mu_next[eta_next.get(x, x)]

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import worked_example
-from .bijection import phi, phi_labeled, psi, unique_labeling
+from .bijection import phi_labeled, psi, unique_labeling
 from .factorization import (
     HurwitzDatum,
     _cayley_stream,
@@ -44,7 +44,7 @@ from .perm import (
     CycleType,
     NotMaximal,
     compose,
-    cycle_decomposition,
+    cycles_of,
     is_clockwise_on,
     is_counterclockwise_on,
     product,
@@ -223,7 +223,7 @@ def check_prufer(seed: int, max_d: int = 6) -> CheckResult:
 
 
 def check_bijection_pipeline(max_d: int) -> CheckResult:
-    """phi is injective, lands exactly on the tree family, and psi inverts it."""
+    """phi_labeled is injective, lands exactly on the tree family, and psi inverts it."""
     cases = 0
     for d in range(2, min(max_d, 6) + 1):
         tau = standard_cycle(d)
@@ -232,7 +232,7 @@ def check_bijection_pipeline(max_d: int) -> CheckResult:
             images = []
             for f in enumerate_factorizations(d, tau, e):
                 g = graph_of(f)
-                m = phi(g)
+                m = phi_labeled(g).mnr
                 lm, _ = unique_labeling(m)
                 if psi(lm) != g:
                     return CheckResult("bijection-pipeline", False, f"inverse d={d} e={e}")
@@ -311,6 +311,7 @@ def check_circle_splitting(max_d: int) -> CheckResult:
         base = tuple(range(1, dp + 1))
         for rest in itertools.permutations(base[1:]):
             mu = Cycle(dp, (1,) + rest)
+            mu_images = mu.images()
             circle = CircleOrder(mu)
             for psize in range(1, dp + 1):
                 for support in itertools.combinations(base, psize):
@@ -330,12 +331,8 @@ def check_circle_splitting(max_d: int) -> CheckResult:
                                 "circle-splitting", False, f"count mu={mu} eta={eta}"
                             )
                         if maximal:
-                            prod = compose(mu.to_permutation(), eta.to_permutation())
-                            cycles = {
-                                c
-                                for c in cycle_decomposition(prod)
-                                if c.support <= mu.support
-                            }
+                            prod = compose(mu_images, eta.images())
+                            cycles = {Cycle(dp, c) for c in cycles_of(prod, mu.elements)}
                             if set(res) != cycles:
                                 return CheckResult(
                                     "circle-splitting", False, f"pieces mu={mu} eta={eta}"
@@ -355,13 +352,13 @@ def check_decomposition(max_d: int) -> CheckResult:
                 if sorted(x for b in dec.bsets for x in b) != list(range(1, len(e))):
                     return CheckResult("decomposition", False, f"partition d={d} e={e}")
                 # the pieces multiply to tau * sigma_last^{-1}
-                rest = compose(tau.to_permutation(), f.sigmas[-1].inverse().to_permutation())
-                if product((c.to_permutation() for c in dec.gammas), d) != rest:
+                rest = compose(tau.images(), f.sigmas[-1].inverse().images())
+                if product((c.images() for c in dec.gammas), d) != rest:
                     return CheckResult("decomposition", False, f"pieces d={d} e={e}")
                 for i in range(dec.k):
                     gamma, bset, sub = dec.gammas[i], dec.bsets[i], dec.subtrees[i]
-                    prod = product((f.sigmas[j - 1].to_permutation() for j in sorted(bset)), d)
-                    if prod != gamma.to_permutation():
+                    prod = product((f.sigmas[j - 1].images() for j in sorted(bset)), d)
+                    if prod != gamma.images():
                         return CheckResult("decomposition", False, f"gamma d={d} e={e}")
                     if gamma.length != dec.sizes[i]:
                         return CheckResult("decomposition", False, f"size d={d} e={e}")

@@ -86,7 +86,7 @@ class TestEnumeration:
         ]
 
     def test_oracle_pair_enumeration(self):
-        tau = standard_cycle(3).to_permutation()
+        tau = standard_cycle(3).images()
         transpositions = [(1, 2), (1, 3), (2, 3)]
         oracle = []
         for a in transpositions:
@@ -95,7 +95,7 @@ class TestEnumeration:
                 pa[a[0]], pa[a[1]] = a[1], a[0]
                 pb = {1: 1, 2: 2, 3: 3}
                 pb[b[0]], pb[b[1]] = b[1], b[0]
-                if all(pa[pb[x]] == tau(x) for x in (1, 2, 3)):
+                if all(pa[pb[x]] == tau[x - 1] for x in (1, 2, 3)):
                     oracle.append((a, b))
         assert len(oracle) == 3 == count_factorizations(3, (2, 2))
 
@@ -119,7 +119,7 @@ class TestEnumeration:
                 inv[x - 1] = sigma.elements[i - 1]
             tables.append([(sigma.elements, tuple(inv))])
         budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
-        start = standard_cycle(20).to_permutation().images
+        start = standard_cycle(20).images()
         got = list(_search(start, tables, budgets, _single_cycle(e[-1])))
         assert got == [tuple(s.elements for s in target.sigmas)]
 
@@ -135,7 +135,7 @@ class TestEnumeration:
             inv = list(range(1, d + 1))
             inv[a - 1], inv[b - 1] = b, a
             tables.append([((a, b), tuple(inv))])
-        start = standard_cycle(d).to_permutation().images
+        start = standard_cycle(d).images()
         got = list(_search(start, tables, list(range(d - 1, 0, -1)), _single_cycle(2)))
         assert got == [tuple(path)]
 

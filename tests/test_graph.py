@@ -15,7 +15,6 @@ from cyclefactor.factorization import (
 from cyclefactor.graph import (
     FactorizationGraph,
     characterization_failure,
-    collapse_transposition_graph,
     decompose_at_last,
     default_svertices,
     enumerate_degree_graphs,
@@ -395,10 +394,8 @@ class TestDecomposeAtLast:
                     g = graph_of(f)
                     dec = decompose_at_last(g)
                     # pieces multiply to tau * sigma_last^{-1}
-                    lhs = product((c.to_permutation() for c in dec.gammas), d)
-                    rhs = compose(
-                        tau.to_permutation(), f.sigmas[-1].inverse().to_permutation()
-                    )
+                    lhs = product((c.images() for c in dec.gammas), d)
+                    rhs = compose(tau.images(), f.sigmas[-1].inverse().images())
                     assert lhs == rhs
                     # each multi-vertex subtree is the graph of its factors
                     for i in range(dec.k):
@@ -429,39 +426,6 @@ class TestDecomposeAtLast:
         assert dec.k >= 1
         for sub in dec.subtrees[: dec.k]:
             assert gate_failure(sub) is None
-
-
-class TestCollapse:
-    def test_d2(self):
-        tau = standard_cycle(2)
-        f = Factorization(FactorizationType(2, (2,)), tau, (tau,))
-        assert collapse_transposition_graph(graph_of(f)) == ((1, 2),)
-
-    def test_d3_gives_all_labeled_trees(self):
-        trees = {
-            collapse_transposition_graph(graph_of(f))
-            for f in enumerate_factorizations(3, standard_cycle(3), (2, 2))
-        }
-        assert trees == {((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))}
-
-    def test_d4_collapse_multiplicities(self):
-        # The collapse forgets the factor order, so commuting disjoint
-        # transpositions merge: 16 factorizations land on 12 distinct trees
-        # (orderings of e.g. {12, 34, 24} collide).  The count identity with
-        # labeled trees lives in the counting layer, not in this map.
-        from collections import Counter
-
-        trees = Counter(
-            collapse_transposition_graph(graph_of(f))
-            for f in enumerate_factorizations(4, standard_cycle(4), (2, 2, 2))
-        )
-        assert sum(trees.values()) == 16 == 4**2
-        assert len(trees) == 12
-        assert trees[((1, 2), (2, 4), (3, 4))] == 2
-
-    def test_rejects_long_factors(self):
-        with pytest.raises(ValueError):
-            collapse_transposition_graph(star_graph(3))
 
 
 class TestSerialization:

@@ -1,4 +1,4 @@
-"""Permutation, cycle, and circle-order arithmetic."""
+"""Image-tuple, cycle, and circle-order arithmetic."""
 
 import itertools
 
@@ -9,11 +9,9 @@ from cyclefactor.perm import (
     Cycle,
     CycleType,
     NotMaximal,
-    Permutation,
     check_cycle,
     compose,
-    cycle_decomposition,
-    cycle_type,
+    cycles_of,
     index,
     is_clockwise_on,
     is_counterclockwise_on,
@@ -24,18 +22,28 @@ from cyclefactor.perm import (
 
 
 def perm(d, *cycles):
-    return Permutation.from_cycles(d, cycles)
+    """The image tuple of disjoint cycles, written out point by point."""
+    images = list(range(1, d + 1))
+    for c in cycles:
+        for i, x in enumerate(c):
+            images[x - 1] = c[(i + 1) % len(c)]
+    return tuple(images)
+
+
+def identity(d):
+    return tuple(range(1, d + 1))
 
 
 class TestCompose:
     def test_identity_case(self):
         p = perm(3, (1, 2, 3))
-        assert compose(p, Permutation.identity(3)) == p
-        assert compose(Permutation.identity(3), p) == p
+        assert p == (2, 3, 1)
+        assert compose(p, identity(3)) == p
+        assert compose(identity(3), p) == p
 
     def test_worked_product(self):
         # (1 2 ... 20)(12 11 6 5 2) with the right factor acting first
-        mu = standard_cycle(20).to_permutation()
+        mu = standard_cycle(20).images()
         eta = perm(20, (12, 11, 6, 5, 2))
         got = compose(mu, eta)
         expected = perm(20, (3, 4, 5), (7, 8, 9, 10, 11), tuple(range(13, 21)) + (1, 2))
@@ -43,65 +51,71 @@ class TestCompose:
 
     def test_involution(self):
         t = perm(2, (1, 2))
-        assert compose(t, t) == Permutation.identity(2)
+        assert compose(t, t) == identity(2)
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(Permutation.identity(2), Permutation.identity(3))
+        with pytest.raises(ValueError, match="^degree mismatch: 2 != 3$"):
+            compose(identity(2), identity(3))
 
     def test_inverse_exhaustive(self):
+        # every cycle at d <= 6 against its reversed cycle
         for d in range(1, 7):
-            for images in itertools.permutations(range(1, d + 1)):
-                p = Permutation(d, images)
-                assert compose(p, p.inverse()) == Permutation.identity(d)
-                assert compose(p.inverse(), p) == Permutation.identity(d)
+            for k in range(1, d + 1):
+                for support in itertools.combinations(range(1, d + 1), k):
+                    for rest in itertools.permutations(support[1:]):
+                        c = Cycle(d, (support[0],) + rest)
+                        assert compose(c.images(), c.inverse().images()) == identity(d)
+                        assert compose(c.inverse().images(), c.images()) == identity(d)
 
     def test_associative(self):
         # exhaustive at d <= 3, stride-sampled triples at d = 6
         for d in range(1, 4):
-            perms = [Permutation(d, images) for images in itertools.permutations(range(1, d + 1))]
+            perms = list(itertools.permutations(range(1, d + 1)))
             for p, q, r in itertools.product(perms, repeat=3):
                 assert compose(compose(p, q), r) == compose(p, compose(q, r))
-        perms6 = [
-            Permutation(6, images)
-            for images in itertools.islice(itertools.permutations(range(1, 7)), 0, 720, 37)
-        ]
+        perms6 = list(itertools.islice(itertools.permutations(range(1, 7)), 0, 720, 37))
         for p, q, r in itertools.product(perms6, repeat=3):
             assert compose(compose(p, q), r) == compose(p, compose(q, r))
+
+    def test_empty_product_is_identity(self):
+        assert product((), 4) == identity(4)
+
+
+class TestCycleImages:
+    def test_fixed_points_kept(self):
+        assert Cycle(5, (4, 2)).images() == (1, 4, 3, 2, 5)
+        assert Cycle(3, (2,)).images() == identity(3)
 
 
 class TestCycleDecomposition:
     def test_identity(self):
-        cycles = cycle_decomposition(Permutation.identity(3))
-        assert [c.elements for c in cycles] == [(1,), (2,), (3,)]
+        assert cycles_of(identity(3)) == [(1,), (2,), (3,)]
 
     def test_worked_product_has_five_cycles(self):
-        mu = standard_cycle(20).to_permutation()
+        mu = standard_cycle(20).images()
         eta = perm(20, (12, 11, 6, 5, 2))
-        cycles = cycle_decomposition(compose(mu, eta))
+        cycles = cycles_of(compose(mu, eta))
         assert len(cycles) == 5
-        assert Cycle(20, (6,)) in cycles
-        assert Cycle(20, (12,)) in cycles
+        assert (6,) in cycles
+        assert (12,) in cycles
 
     def test_fixed_point_listed(self):
-        cycles = cycle_decomposition(perm(5, (1, 3), (2, 4)))
-        assert [c.elements for c in cycles] == [(1, 3), (2, 4), (5,)]
+        assert cycles_of(perm(5, (1, 3), (2, 4))) == [(1, 3), (2, 4), (5,)]
 
     def test_partition_and_product_exhaustive(self):
         for d in range(1, 7):
             for images in itertools.permutations(range(1, d + 1)):
-                p = Permutation(d, images)
-                cycles = cycle_decomposition(p)
-                supports = [c.support for c in cycles]
-                assert sum(len(s) for s in supports) == d
-                assert frozenset().union(*supports) == frozenset(range(1, d + 1))
-                assert product((c.to_permutation() for c in cycles), d) == p
+                cycles = cycles_of(images)
+                assert all(Cycle(d, c).elements == c for c in cycles)  # canonical
+                assert sorted(x for c in cycles for x in c) == list(identity(d))
+                assert product((Cycle(d, c).images() for c in cycles), d) == images
 
     def test_index_counts_missing_cycles(self):
         for d in range(1, 6):
             for images in itertools.permutations(range(1, d + 1)):
-                p = Permutation(d, images)
-                assert index(cycle_type(p)) == d - len(cycle_decomposition(p))
+                cycles = cycles_of(images)
+                t = CycleType(tuple(sorted(map(len, cycles), reverse=True)))
+                assert index(t) == d - len(cycles)
 
 
 class TestCycleType:
@@ -113,7 +127,8 @@ class TestCycleType:
 
     def test_pure_cycle_indices(self):
         for e in (2, 3, 2, 3, 3, 4, 4, 2, 5):
-            assert index(cycle_type(perm(20, tuple(range(1, e + 1))))) == e - 1
+            lengths = sorted(map(len, cycles_of(perm(20, tuple(range(1, e + 1))))), reverse=True)
+            assert index(CycleType(tuple(lengths))) == e - 1
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
@@ -178,9 +193,9 @@ class TestSplitCircleProduct:
     def test_two_point_cut(self):
         pieces = split_circle_product(Cycle(3, (1, 2, 3)), Cycle(3, (3, 1)))
         assert [c.elements for c in pieces] == [(2, 3), (1,)]
-        # oracle: the pieces are the cycle decomposition of the product
+        # oracle: the pieces are the cycles of the product
         prod = compose(perm(3, (1, 2, 3)), perm(3, (3, 1)))
-        assert set(pieces) == set(cycle_decomposition(prod))
+        assert set(pieces) == {Cycle(3, c) for c in cycles_of(prod)}
 
     def test_clockwise_cut_is_not_maximal(self):
         res = split_circle_product(Cycle(3, (1, 2, 3)), Cycle(3, (1, 2, 3)))
@@ -208,10 +223,8 @@ class TestSplitCircleProduct:
                             res = split_circle_product(mu, eta)
                             maximal = not isinstance(res, NotMaximal)
                             assert maximal == is_counterclockwise_on(eta, circle)
-                            prod = compose(mu.to_permutation(), eta.to_permutation())
-                            in_supp = [
-                                c for c in cycle_decomposition(prod) if c.support <= mu.support
-                            ]
+                            prod = compose(mu.images(), eta.images())
+                            in_supp = [Cycle(dp, c) for c in cycles_of(prod, mu.elements)]
                             assert maximal == (len(in_supp) == psize)
                             if maximal:
                                 assert set(res) == set(in_supp)
