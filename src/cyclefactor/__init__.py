@@ -7,11 +7,11 @@ tree and a 2xn codec matrix, with every step invertible.
 """
 
 from .perm import (
-    CircleOrder,
     Cycle,
     CycleType,
     NotMaximal,
     check_cycle,
+    clockwise_reading,
     compose,
     index,
     is_clockwise_on,

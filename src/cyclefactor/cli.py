@@ -107,7 +107,11 @@ def _read_json(args) -> dict:
 
 
 def _default_cap() -> int:
-    return int(os.environ.get(ENV_CAP, "7"))
+    text = os.environ.get(ENV_CAP, "7")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{ENV_CAP} must be an integer, got {text!r}") from None
 
 
 def _check_cap(d: int, args) -> None:
@@ -338,6 +342,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # --only selects the transpositions check, which brute-forces every degree up to --max-d
+    if args.only is not None and args.only in "transpositions" and args.max_d > (cap := _default_cap()):
+        raise CapExceededError(f"verify brute-forces degree {args.max_d}, past the cap {cap}; set {ENV_CAP} to override")
     results = run_checks(max_d=args.max_d, seed=args.seed, only=args.only)
     if not results:
         print(f"no checks match --only {args.only!r}", file=sys.stderr)

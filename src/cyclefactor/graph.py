@@ -5,7 +5,9 @@ the bipartite graph on S + supp(tau) joining the j-th S-vertex to the support
 of sigma_j.  In genus 0 these graphs are trees, and membership in the image
 is characterized intrinsically: every [d]-vertex must split the tree into
 circle arcs whose counterclockwise order matches the increasing order of its
-S-neighbors (the CICPP predicate below).
+S-neighbors (the CICPP predicate below).  CPP and CICPP read the component
+of each point once round tau: CPP counts the changes of component, CICPP
+compares the runs of components with the vertex's S-neighbors.
 
 The library's membership gate is ``gate_failure``: a tree whose S-vertices
 have degree >= 2 is a factorization graph iff reading each S-vertex's
@@ -27,8 +29,8 @@ from ._json import fields, integer, integers, pairs
 from .factorization import Factorization, FactorizationType, validate
 from .perm import (
     Cycle,
-    CircleOrder,
     check_cycle,
+    clockwise_reading,
     split_circle_product,
     standard_cycle,
 )
@@ -81,9 +83,6 @@ class FactorizationGraph:
 
     def neighbors_of_v(self, v: int) -> tuple[int, ...]:
         return self._v_adj[v]
-
-    def circle(self) -> CircleOrder:
-        return CircleOrder(self.tau)
 
     def _walk(self, start: int, removed: int | None = None) -> dict[int, int]:
         """Parent of every vertex reached from ``start`` (mapped to 0), avoiding ``removed``."""
@@ -143,47 +142,37 @@ def has_cpp(g: FactorizationGraph, s_vertex: int) -> bool:
     """Consecutive partition property of an S-vertex.
 
     True iff deleting the vertex leaves subtrees whose [d]-vertex sets are
-    consecutive arcs of the circle of the graph's tau.
+    consecutive arcs of the circle of the graph's tau: read round it, the
+    component changes once per component (a lone component never changes).
     """
     if s_vertex not in set(g.svertices):
         raise ValueError(f"no S-vertex {s_vertex} in this graph")
     if failure := _degree_failure(g):
         raise ValueError(f"{failure}; predicates undefined")
-    circle = g.circle()
-    return all(
-        circle.arc_span(dset) is not None
-        for _, dset in g.components_without(s_vertex)
-    )
+    comps = g.components_without(s_vertex)
+    comp = {x: i for i, (_, dset) in enumerate(comps) for x in dset}
+    reading = [comp[x] for x in g.tau.elements]
+    changes = sum(a != b for a, b in zip(reading, reading[1:] + reading[:1]))
+    return max(changes, 1) == len(comps)
 
 
 def has_cicpp(g: FactorizationGraph, d_vertex: int) -> bool:
     """Counterclockwise increasing consecutive partition property.
 
-    Walking the circle counterclockwise from the [d]-vertex, the subtrees
-    left by deleting it must be met one after another, each once, in the
-    increasing order of their attaching S-neighbors.  Meeting a subtree
-    twice ends the walk, so the walk alone enforces that every subtree's
-    [d]-vertices form a consecutive arc of the circle minus the vertex.
+    Reading the circle counterclockwise from the [d]-vertex, the subtrees
+    left by deleting it must come in distinct runs (so each is an arc), in
+    the increasing order of their attaching S-neighbors.  Distinctness also
+    refuses two S-neighbors that share a subtree, as off a tree they can.
     """
     if d_vertex not in g.tau.support:
         raise ValueError(f"no [d]-vertex {d_vertex} in this graph")
     if failure := _degree_failure(g):
         raise ValueError(f"{failure}; predicates undefined")
-    circle = g.circle()
-    comp_of: dict[int, int] = {}
-    for i, (sset, dset) in enumerate(g.components_without(d_vertex)):
-        for x in sset | dset:
-            comp_of[x] = i
-
-    v_pos = circle.position(d_vertex)
-    encounter: list[int] = []
-    for offset in range(1, circle.size):
-        i = comp_of[circle.element_at(v_pos - offset)]
-        if not encounter or encounter[-1] != i:
-            if i in encounter:
-                return False  # component met twice: not consecutive
-            encounter.append(i)
-    return encounter == [comp_of[s] for s in g.neighbors_of_v(d_vertex)]
+    comp = {x: i for i, (ss, ds) in enumerate(g.components_without(d_vertex)) for x in ss | ds}
+    i = g.tau.elements.index(d_vertex)
+    ccw = reversed(g.tau.elements[i + 1 :] + g.tau.elements[:i])
+    runs = [c for c, _ in itertools.groupby(comp[x] for x in ccw)]
+    return len(set(runs)) == len(runs) and runs == [comp[s] for s in g.neighbors_of_v(d_vertex)]
 
 
 def _shape_failure(g: FactorizationGraph) -> str | None:
@@ -271,7 +260,7 @@ def decompose_at_last(g: FactorizationGraph) -> Decomposition:
     """Split a factorization graph along its largest S-vertex into sub-factorization-graphs."""
     svalues = g.svertices
     s_last = svalues[-1]
-    sigma_last = g.circle().clockwise_cycle(g.neighbors_of_s(s_last))
+    sigma_last = clockwise_reading(g.tau, g.neighbors_of_s(s_last))
     pieces = split_circle_product(g.tau, sigma_last.inverse())
     assert isinstance(pieces, list)
 

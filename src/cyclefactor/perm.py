@@ -9,11 +9,15 @@ the right factor acts first.
 A ``Cycle`` is a plain value: its constructor only rotates the elements to
 start at their minimum.  ``check_cycle`` proves elements read from outside;
 the functions here build cycles from cycles already proved and trust them.
+
+A cycle is also a circle, its elements laid out clockwise in cycle order:
+``clockwise_reading`` reads values in their order round it, and the circle
+predicates and ``split_circle_product`` are plain code on ``Cycle.elements``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -164,75 +168,34 @@ def standard_cycle(d: int) -> Cycle:
     return Cycle(d, tuple(range(1, d + 1)))
 
 
-@dataclass(frozen=True)
-class CircleOrder:
-    """The support of a base cycle laid out clockwise in cycle order.
+def clockwise_reading(circle: Cycle, values) -> Cycle:
+    """The cycle that visits ``values`` in their clockwise order round ``circle``.
 
-    Reading the circle clockwise from any start recovers a rotation of the
-    base cycle.  Consecutive arcs are reported as (start position, length)
-    in clockwise orientation; the full circle is a valid arc.  ``position``
-    and ``clockwise_cycle`` trust their values to lie on the circle.
+    One pass over the circle's elements; values off the circle are dropped.
+
+    >>> clockwise_reading(standard_cycle(20), {13, 20, 1, 2, 15}).elements
+    (1, 2, 13, 15, 20)
     """
-
-    base_cycle: Cycle
-    _pos: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        pos = {x: i for i, x in enumerate(self.base_cycle.elements)}
-        object.__setattr__(self, "_pos", pos)
-
-    @property
-    def size(self) -> int:
-        return self.base_cycle.length
-
-    def position(self, value: int) -> int:
-        return self._pos[value]
-
-    def element_at(self, position: int) -> int:
-        return self.base_cycle.elements[position % self.size]
-
-    def arc_span(self, values) -> tuple[int, int] | None:
-        """(start, length) if the values form one clockwise-consecutive arc."""
-        values = set(values)
-        if not values or not values <= self.base_cycle.support:
-            return None
-        q = self.size
-        if len(values) == q:
-            return (0, q)
-        positions = {self._pos[v] for v in values}
-        starts = [p for p in positions if (p - 1) % q not in positions]
-        if len(starts) != 1:
-            return None
-        return (starts[0], len(values))
-
-    def clockwise_cycle(self, values) -> Cycle:
-        """The cycle obtained by reading the given support clockwise."""
-        ordered = tuple(sorted(set(values), key=self._pos.__getitem__))
-        return Cycle(self.base_cycle.degree, ordered)
+    wanted = set(values)
+    return Cycle(circle.degree, tuple(x for x in circle.elements if x in wanted))
 
 
-def _is_rotated_decreasing(positions: list[int]) -> bool:
-    # True iff some rotation of the sequence is strictly decreasing.
-    n = len(positions)
-    if n <= 2:
-        return True
-    top = positions.index(max(positions))
-    rotated = positions[top:] + positions[:top]
-    return all(a > b for a, b in zip(rotated, rotated[1:]))
-
-
-def is_counterclockwise_on(eta: Cycle, circle: CircleOrder) -> bool:
-    """Whether eta's elements, in cycle order, go counterclockwise on the circle.
+def is_counterclockwise_on(eta: Cycle, circle: Cycle) -> bool:
+    """Whether eta's elements, in cycle order, go counterclockwise round the circle.
 
     Cycles of length <= 2 read both ways, so they count as counterclockwise.
+
+    >>> is_counterclockwise_on(Cycle(5, (4, 2, 1)), standard_cycle(5))
+    True
     """
-    if not eta.support <= circle.base_cycle.support:
-        raise ValueError(f"support of {eta} leaves the circle of {circle.base_cycle}")
-    return _is_rotated_decreasing([circle.position(x) for x in eta.elements])
+    if not eta.support <= circle.support:
+        raise ValueError(f"support of {eta} leaves the circle of {circle}")
+    h = eta.elements  # read backwards from its minimum, eta must be the clockwise reading
+    return len(h) <= 2 or clockwise_reading(circle, h).elements[1:] == h[:0:-1]
 
 
-def is_clockwise_on(eta: Cycle, circle: CircleOrder) -> bool:
-    """Whether eta's elements, in cycle order, go clockwise on the circle."""
+def is_clockwise_on(eta: Cycle, circle: Cycle) -> bool:
+    """Whether eta's elements, in cycle order, go clockwise round the circle."""
     return is_counterclockwise_on(eta.inverse(), circle)
 
 
@@ -261,7 +224,6 @@ def split_circle_product(mu: Cycle, eta: Cycle) -> list[Cycle] | NotMaximal:
         raise ValueError(f"degree mismatch: {mu.degree} != {eta.degree}")
     if not eta.support <= mu.support:
         raise ValueError(f"support of {eta} is not contained in support of {mu}")
-    p = eta.length
 
     # Cycle count of mu*eta on supp(mu), without building full image tuples.
     m, h = mu.elements, eta.elements
@@ -271,16 +233,11 @@ def split_circle_product(mu: Cycle, eta: Cycle) -> list[Cycle] | NotMaximal:
     for x in mu.elements:
         prod[x - 1] = mu_next[eta_next.get(x, x)]
     s = len(cycles_of(prod, mu.elements))
-    if s != p:
+    if s != eta.length:
         return NotMaximal(s)
 
-    circle = CircleOrder(mu)
-    cuts = sorted(circle.position(x) for x in eta.elements)
-    pieces = []
-    for i, cut in enumerate(cuts):
-        prev = cuts[i - 1]  # for i == 0 this wraps to the last cut
-        length = (cut - prev) % mu.length or mu.length
-        elems = tuple(circle.element_at(prev + 1 + k) for k in range(length))
-        pieces.append(Cycle(mu.degree, elems))
-    ordered = pieces[1:] + pieces[:1] if p > 1 else pieces
-    return ordered
+    # cut after each element of supp(eta); the last piece wraps past the end
+    cuts = [i for i, x in enumerate(m) if x in eta_next]
+    ends = cuts[1:] + [cuts[0] + mu.length]
+    doubled = m + m
+    return [Cycle(mu.degree, doubled[a + 1 : b + 1]) for a, b in zip(cuts, ends)]

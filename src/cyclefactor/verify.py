@@ -40,7 +40,6 @@ from .graph import (
 )
 from .perm import (
     Cycle,
-    CircleOrder,
     CycleType,
     NotMaximal,
     compose,
@@ -312,14 +311,13 @@ def check_circle_splitting(max_d: int) -> CheckResult:
         for rest in itertools.permutations(base[1:]):
             mu = Cycle(dp, (1,) + rest)
             mu_images = mu.images()
-            circle = CircleOrder(mu)
             for psize in range(1, dp + 1):
                 for support in itertools.combinations(base, psize):
                     for arrangement in itertools.permutations(support[1:]):
                         eta = Cycle(dp, (support[0],) + arrangement)
                         pairs += 1
                         res = split_circle_product(mu, eta)
-                        ccw = is_counterclockwise_on(eta, circle)
+                        ccw = is_counterclockwise_on(eta, mu)
                         s = _independent_cycle_count(mu, eta)
                         maximal = not isinstance(res, NotMaximal)
                         if maximal != ccw or maximal != (s == psize):
@@ -376,11 +374,10 @@ def check_clockwise_reading(max_d: int) -> CheckResult:
     cases = 0
     for d in range(2, min(max_d, 6) + 1):
         tau = standard_cycle(d)
-        circle = CircleOrder(tau)
         for e in genus0_types(d):
             for f in enumerate_factorizations(d, tau, e):
                 for sigma in f.sigmas:
-                    if not is_clockwise_on(sigma, circle):
+                    if not is_clockwise_on(sigma, tau):
                         return CheckResult(
                             "clockwise-reading", False, f"d={d} e={e} sigma={sigma}"
                         )

@@ -365,6 +365,21 @@ class TestOneParser:
         assert run(capsys, "count", "--d", "4", "--e", "2,2,2") == (0, "16\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--d", "4", "--e", "2,2,2", "--method", "bruteforce"),
+        ("enumerate", "--kind", "factorization", "--d", "4", "--e", "2,2,2"),
+    ],
+    ids=["count", "enumerate"],
+)
+def test_non_integer_env_cap_names_the_variable(capsys, monkeypatch, argv):
+    monkeypatch.setenv("CYCLEFACTOR_MAX_D", "abc")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: CYCLEFACTOR_MAX_D must be an integer, got 'abc'\n"
+
+
 class TestCount:
     def test_all_methods_match(self, capsys):
         code, out, _ = run(capsys, "count", "--d", "4", "--e", "2,2,2", "--method", "all")
@@ -910,6 +925,30 @@ class TestVerify:
     def test_only_transpositions(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "5", "--only", "transpositions")
         assert code == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("only", ["transpositions", "i"])
+    def test_transpositions_past_the_cap(self, capsys, monkeypatch, only):
+        # the transpositions check brute-forces every degree up to --max-d
+        monkeypatch.delenv("CYCLEFACTOR_MAX_D", raising=False)
+        code, out, err = run(capsys, "verify", "--max-d", "10", "--only", only)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: verify brute-forces degree 10, past the cap 7; "
+            "set CYCLEFACTOR_MAX_D to override\n"
+        )
+
+    def test_env_cap_bounds_transpositions(self, capsys, monkeypatch):
+        monkeypatch.setenv("CYCLEFACTOR_MAX_D", "4")
+        argv = ("verify", "--max-d", "5", "--only", "transpositions")
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "past the cap 4" in err
+        monkeypatch.setenv("CYCLEFACTOR_MAX_D", "5")
+        assert run(capsys, *argv)[:2] == (0, "PASS  transpositions  d <= 5\n1/1 checks passed\n")
+
+    def test_cap_spares_checks_without_brute_force(self, capsys, monkeypatch):
+        monkeypatch.delenv("CYCLEFACTOR_MAX_D", raising=False)
+        code, out, _ = run(capsys, "verify", "--max-d", "10", "--only", "golden")
+        assert code == 0 and "1/1 checks passed" in out
 
     @pytest.mark.parametrize(
         "argv", [("--max-d", "1"), ("--max-d", "-3", "--only", "prufer")], ids=["1", "-3"]

@@ -180,8 +180,11 @@ class TestAdjacency:
 
 def clockwise_reading(g):
     """Each S-vertex's neighbors, sorted clockwise round g's circle."""
-    circle = g.circle()
-    return tuple(circle.clockwise_cycle(g.neighbors_of_s(s)) for s in g.svertices)
+    position = g.tau.elements.index
+    return tuple(
+        Cycle(g.tau.degree, tuple(sorted(g.neighbors_of_s(s), key=position)))
+        for s in g.svertices
+    )
 
 
 class TestFactorizationOf:
@@ -299,6 +302,18 @@ class TestCicpp:
         assert characterization_failure(g) == "[d]-vertex 1 lacks CICPP"
         # the gate agrees: the tree's clockwise reading (1 2 4)(1 3) is not tau
         assert_gate_rejects(g, "the clockwise reading does not multiply to tau")
+
+    def test_neighbors_sharing_a_component_fail(self):
+        # not a tree: deleting 3 leaves 10 and 12 in one component A, so the
+        # counterclockwise runs from 3 read A, B, A, which is the neighbor
+        # list 10, 11, 12 component by component, yet A is met twice
+        edges = [(7, 2), (7, 6), (8, 1), (8, 4), (9, 1), (9, 6), (10, 2), (10, 3),
+                 (10, 6), (11, 3), (11, 5), (12, 2), (12, 3)]
+        g = FactorizationGraph(
+            6, tuple(range(7, 13)), frozenset(edges), Cycle(6, (1, 3, 4, 6, 5, 2))
+        )
+        assert g.neighbors_of_v(3) == (10, 11, 12)
+        assert not has_cicpp(g, 3)
 
     def test_missing_vertex(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
-"""Image-tuple, cycle, and circle-order arithmetic."""
+"""Image-tuple, cycle, and circle-reading arithmetic."""
 
 import itertools
+import random
 
 import pytest
 
 from cyclefactor.perm import (
-    CircleOrder,
     Cycle,
     CycleType,
     NotMaximal,
     check_cycle,
+    clockwise_reading,
     compose,
     cycles_of,
     index,
@@ -158,23 +159,23 @@ class TestCycleCanonicalForm:
 
 class TestCounterclockwise:
     def test_worked_example(self):
-        circle = CircleOrder(standard_cycle(20))
+        circle = standard_cycle(20)
         assert is_counterclockwise_on(Cycle(20, (12, 11, 6, 5, 2)), circle)
 
     def test_reversal_is_clockwise(self):
-        circle = CircleOrder(standard_cycle(20))
+        circle = standard_cycle(20)
         eta = Cycle(20, (2, 5, 6, 11, 12))
         assert not is_counterclockwise_on(eta, circle)
         assert is_clockwise_on(eta, circle)
 
     def test_short_cycles_read_both_ways(self):
-        circle = CircleOrder(standard_cycle(9))
+        circle = standard_cycle(9)
         assert is_counterclockwise_on(Cycle(9, (7,)), circle)
         assert is_counterclockwise_on(Cycle(9, (2, 6)), circle)
         assert is_clockwise_on(Cycle(9, (2, 6)), circle)
 
     def test_support_violation(self):
-        circle = CircleOrder(Cycle(9, (1, 2, 3)))
+        circle = Cycle(9, (1, 2, 3))
         with pytest.raises(ValueError):
             is_counterclockwise_on(Cycle(9, (4,)), circle)
 
@@ -215,14 +216,13 @@ class TestSplitCircleProduct:
             base = tuple(range(1, dp + 1))
             for rest in itertools.permutations(base[1:]):
                 mu = Cycle(dp, (1,) + rest)
-                circle = CircleOrder(mu)
                 for psize in range(1, dp + 1):
                     for support in itertools.combinations(base, psize):
                         for arr in itertools.permutations(support[1:]):
                             eta = Cycle(dp, (support[0],) + arr)
                             res = split_circle_product(mu, eta)
                             maximal = not isinstance(res, NotMaximal)
-                            assert maximal == is_counterclockwise_on(eta, circle)
+                            assert maximal == is_counterclockwise_on(eta, mu)
                             prod = compose(mu.images(), eta.images())
                             in_supp = [Cycle(dp, c) for c in cycles_of(prod, mu.elements)]
                             assert maximal == (len(in_supp) == psize)
@@ -230,22 +230,13 @@ class TestSplitCircleProduct:
                                 assert set(res) == set(in_supp)
 
 
-class TestCircleOrder:
-    def test_rotation_recovers_cycle(self):
-        tau = Cycle(6, (1, 4, 2, 6, 3, 5))
-        circle = CircleOrder(tau)
-        for start in range(6):
-            reading = tuple(circle.element_at(start + i) for i in range(6))
-            assert Cycle(6, reading) == tau
-
-    def test_arc_span(self):
-        circle = CircleOrder(standard_cycle(6))
-        assert circle.arc_span({2, 3, 4}) == (1, 3)
-        assert circle.arc_span({6, 1}) == (5, 2)
-        assert circle.arc_span(set(range(1, 7))) == (0, 6)
-        assert circle.arc_span({1, 3}) is None
-
-    def test_clockwise_cycle_wraps(self):
-        circle = CircleOrder(standard_cycle(20))
-        got = circle.clockwise_cycle({13, 20, 1, 2, 15})
-        assert got == Cycle(20, (13, 15, 20, 1, 2))
+class TestClockwiseReading:
+    def test_matches_sort_by_position(self):
+        # oracle: sort the values by their index on the circle
+        rng = random.Random("clockwise-reading")
+        for d in range(1, 9):
+            for _ in range(40):
+                circle = Cycle(d, tuple(rng.sample(range(1, d + 1), rng.randint(1, d))))
+                values = rng.sample(circle.elements, rng.randint(1, circle.length))
+                expected = tuple(sorted(values, key=circle.elements.index))
+                assert clockwise_reading(circle, values) == Cycle(d, expected)
