@@ -68,6 +68,7 @@ from .trees import (
 from .verify import run_checks
 
 ENV_CAP = "CYCLEFACTOR_MAX_D"
+DEFAULT_CAP = 7
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -107,7 +108,7 @@ def _read_json(args) -> dict:
 
 
 def _default_cap() -> int:
-    text = os.environ.get(ENV_CAP, "7")
+    text = os.environ.get(ENV_CAP, str(DEFAULT_CAP))
     try:
         return int(text)
     except ValueError:
@@ -145,7 +146,8 @@ def cmd_count(args) -> int:
     def one(method: str):
         if method == "bruteforce":
             _check_cap(d, args)
-            if d > _default_cap():
+            FactorizationType(d, e)  # reports a bad type before the estimate
+            if args.cap is not None and d > DEFAULT_CAP:
                 prefixes = 1
                 for ei in e[:-1]:
                     prefixes *= comb(d, ei) * factorial(ei - 1)
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-index", help="length:multiplicity pairs, e.g. 2:2,3:1")
     p.add_argument("--method", choices=["bruteforce", "formula", "bijection", "all"], default="formula")
     p.add_argument("--hurwitz", action="store_true", help="divide by d (Hurwitz normalization)")
-    p.add_argument("--cap", type=int, help=f"brute-force degree cap (default ${ENV_CAP} or 7)")
+    p.add_argument("--cap", type=int, help=f"brute-force degree cap (default ${ENV_CAP} or {DEFAULT_CAP})")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--stats", action="store_true", help="after the result, one JSON line of search statistics on stderr")
     p.set_defaults(func=cmd_count)
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e")
     p.add_argument("--vertex-data")
     p.add_argument("--s", help="comma-separated S-vertex values")
-    p.add_argument("--cap", type=int, help=f"degree cap, on --d or the sum of --vertex-data (default ${ENV_CAP} or 7)")
+    p.add_argument("--cap", type=int, help=f"degree cap, on --d or the sum of --vertex-data (default ${ENV_CAP} or {DEFAULT_CAP})")
     p.add_argument("--stats", action="store_true", help="after the count, one JSON line of search statistics on stderr")
     p.set_defaults(func=cmd_enumerate)
 

@@ -37,6 +37,7 @@ from array import array as typed_array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 from typing import Iterator
 
 from ._json import array, fields, integer, integers
@@ -165,6 +166,18 @@ def _single_cycle(length: int):
     return leaf
 
 
+def _gather(target):
+    """inv -> the image tuple of sigma^{-1} * target, as one C-level call.
+
+    ``itemgetter`` with a single index returns a scalar, so a one-point
+    target gets its own one-tuple.
+    """
+    if len(target) == 1:
+        (i,) = target
+        return lambda inv: (inv[i - 1],)
+    return itemgetter(*[y - 1 for y in target])
+
+
 def _search(target, tables, budgets, leaf, stats: dict | None = None):
     """Depth-first search over one factor per table, the last factor solved.
 
@@ -176,6 +189,9 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     last table, ``leaf(target)`` returns the solved last entry or None; the
     search yields (*keys, entry) for every entry that is not None.
 
+    Each node keeps, in place of its target, one ``itemgetter`` over the
+    target's points (``_gather``), built when the node is pushed, so every
+    child costs one C-level call on the chosen factor's inverse images.
     The pairs (key, entry) of the last two factors depend only on the target
     the last table starts from, so they are solved once per distinct target
     and kept for this call.  Nodes wait on an explicit stack.  ``stats``
@@ -195,42 +211,51 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     def far(target, k):  # further from the identity than the factors from k on reach
         return len(target) - len(cycles_of(target)) > budgets[k]
 
-    def pairs(target):
+    def solve(target):
         # (key, entry) for each last-table key whose solved last factor exists
-        found = solved.get(target)
-        if found is not None:
-            stats["reuses"] += 1
-            return found
         stats["targets"] += 1
-        found = () if far(target, last) else tuple(
-            (key, hit) for key, inv in tables[last] if (hit := leaf(tuple(inv[y - 1] for y in target))) is not None
-        )
+        if far(target, last):
+            found = ()
+        else:
+            gather = _gather(target)
+            found = tuple((key, hit) for key, inv in tables[last] if (hit := leaf(gather(inv))) is not None)
         solved[target] = found
         return found
 
     if not last:
-        yield from pairs(target)
+        yield from solve(target)
         return
     if far(target, 0):
         return
     out = [None] * last
-    stack = [(target, iter(tables[0]))]
+    stack = [(_gather(target), iter(tables[0]))]
     while stack:
         k = len(stack) - 1
-        target, children = stack[-1]
-        for key, inv in children:
-            out[k] = key
-            child = tuple(inv[y - 1] for y in target)
-            if k + 1 < last:
+        gather, children = stack[-1]
+        if k + 1 == last:
+            reuses = 0
+            for key, inv in children:
+                out[k] = key
+                child = gather(inv)
+                found = solved.get(child)
+                if found is None:
+                    found = solve(child)
+                else:
+                    reuses += 1
+                for pair in found:
+                    yield (*out, *pair)
+            stats["reuses"] += reuses
+            stack.pop()
+        else:
+            for key, inv in children:
+                child = gather(inv)
                 if not far(child, k + 1):
+                    out[k] = key
                     stats["nodes"] += 1
-                    stack.append((child, iter(tables[k + 1])))
+                    stack.append((_gather(child), iter(tables[k + 1])))
                     break
             else:
-                for pair in pairs(child):
-                    yield (*out, *pair)
-        else:
-            stack.pop()
+                stack.pop()
 
 
 def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):

@@ -428,6 +428,19 @@ class TestCount:
         assert (code, out) == (0, f"{8**6}\n")
         assert "search space" in err
 
+    def test_cap_given_leaves_env_cap_unread(self, capsys, monkeypatch):
+        # as in enumerate, an explicit --cap is the whole cap
+        monkeypatch.setenv("CYCLEFACTOR_MAX_D", "abc")
+        argv = ("count", "--method", "bruteforce", "--d", "4", "--e", "2,2,2", "--cap", "8")
+        assert run(capsys, *argv) == (0, "16\n", "")
+
+    def test_bad_type_errors_before_estimate(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--method", "bruteforce", "--d", "8", "--e", "7,7", "--cap", "8"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sum(e_i - 1) = 12 is not d-1+2g for a nonnegative integer g (d = 8)\n"
+
     def test_invalid_params(self, capsys):
         code, _, err = run(capsys, "count", "--d", "3", "--e", "2,2,2")
         assert code == 2 and err

@@ -152,6 +152,34 @@ class TestEnumeration:
         fs = list(enumerate_factorizations(3, standard_cycle(3), (3, 3)))
         assert [tuple(str(s) for s in f.sigmas) for f in fs] == [("(1 3 2)", "(1 3 2)")]
 
+    def test_positive_genus_stream_matches_product_oracle(self):
+        # oracle: every tuple of cycles of the given lengths whose product is tau, sorted;
+        # every genus-1 type at d <= 4, and those with at most three factors at d = 5
+        from cyclefactor.factorization import _cayley_stream
+        from cyclefactor.perm import product
+        from cyclefactor.verify import compositions
+
+        rng = random.Random(5)
+        total = 0
+        for d in range(2, 6):
+            rest = list(range(2, d + 1))
+            rng.shuffle(rest)
+            types = [tuple(c + 1 for c in comp) for comp in compositions(d + 1) if max(comp) < d]
+            for e in types if d < 5 else [e for e in types if len(e) <= 3]:
+                images = {
+                    ei: {c: Cycle(d, c).images() for c in itertools.permutations(range(1, d + 1), ei) if c[0] == min(c)}
+                    for ei in set(e)
+                }
+                for tau in (standard_cycle(d), Cycle(d, (1, *rest))):
+                    expected = sorted(
+                        fs
+                        for fs in itertools.product(*(images[ei] for ei in e))
+                        if product([images[ei][c] for ei, c in zip(e, fs)], d) == tau.images()
+                    )
+                    assert list(_cayley_stream(d, tau, e)) == expected, (d, e, tau)
+                    total += len(expected)
+        assert total > 0
+
     def test_genus0_walker_matches_cayley_search(self):
         # oracle: the Cayley-prune search, which tries every e-cycle of S_d
         from cyclefactor.factorization import _cayley_stream, factor_tuples
@@ -310,6 +338,12 @@ class TestHurwitzBruteforce:
     def test_two_sheets(self):
         h = HurwitzDatum(2, 2, 0, (CycleType((2,)), CycleType((2,))))
         assert hurwitz_count_bruteforce(h) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_one_sheet(self, r):
+        # every target is the one point's identity, one image long
+        h = HurwitzDatum(1, r, 0, (CycleType((1,)),) * r)
+        assert hurwitz_count_bruteforce(h) == 1
 
     def test_riemann_hurwitz_filter(self):
         with pytest.raises(ValueError):
