@@ -6,8 +6,9 @@ closes stdout early (``| head``) ends the command quietly with exit 0.
 
 The parser is built on the first ``main`` call and reused by every later
 call in the process.  Every JSON line goes through one compact encoder,
-and ``enumerate --kind factorization`` renders the part of a line that does
-not change, ``{"d":...,"tau":[...],"sigmas":``, once per call.
+except the lines of ``enumerate --kind factorization``: it renders the part
+of a line that does not change, ``{"d":...,"tau":[...],"sigmas":``, once
+per call, and each factor once while consecutive lines share it.
 """
 
 from __future__ import annotations
@@ -191,11 +192,19 @@ def cmd_enumerate(args) -> int:
         FactorizationType(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
         if args.kind == "factorization":
-            # factorization_to_json(f), with its fixed d and tau rendered once
-            head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":'
+            # factorization_to_json(f), with its fixed d and tau rendered once;
+            # consecutive outputs share their leading tuples as the same objects,
+            # so each factor is rendered once while its tuple lasts
+            head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":[['
             write = sys.stdout.write
+            previous, parts = (), []
             for elems in factor_tuples(args.d, tau, e, stats):
-                write(head + _encode(elems) + "}\n")
+                i = 0
+                while i < len(previous) and elems[i] is previous[i]:
+                    i += 1
+                parts[i:] = [",".join(map(str, x)) for x in elems[i:]]
+                previous = elems
+                write(head + "],[".join(parts) + "]]}\n")
                 count += 1
         else:
             for f in enumerate_factorizations(args.d, tau, e, stats):

@@ -9,11 +9,14 @@ stream:
   in absolute order, so it is taken from the target's own cycles, read in
   cycle order.  Candidates stream by their minimum, with no candidate
   list: the other elements are chosen depth first in order of value (for
-  tau = (1 2 ... d), plain ``itertools.combinations`` order), a choice
-  whose arc the later lengths cannot fill is dropped as soon as the arc
-  closes, and a branch is entered only if the remaining lengths pack
-  exactly onto the cycles it leaves, so every branch yields.  Nodes wait
-  on an explicit stack, so no type is too deep to walk.
+  tau = (1 2 ... d), plain ``itertools.combinations`` order), a choice is
+  dropped as soon as its arc closes if the later lengths cannot fill that
+  arc, or all the arcs closed so far together, and a branch is entered
+  only if the remaining lengths pack exactly onto the cycles it leaves, so
+  every branch yields.  For tau = (1 2 ... d), a node whose target is one
+  n-cycle with two factors left yields its n completions in closed form,
+  one per start of the long arc.  Nodes wait on an explicit stack, so no
+  type is too deep to walk.
 * every genus (``_search``, the one search core): each factor is taken
   from a table of candidates, the last factor is solved for, and branches
   whose remaining target is too far (in Cayley distance) from the identity
@@ -309,18 +312,30 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
     value; the other elements, all above m, are chosen depth first in
     increasing value, and an arc is tested as soon as its end is chosen:
     an arc of a elements is viable only if a - 1 is the sum of some of the
-    later (e_i - 1), counted with multiplicity.  A child is entered only if
-    the later lengths pack exactly onto its cycles, and any exact packing
-    completes, so every node yields; the last factor is tested in its
-    parent, and nodes wait on an explicit stack.
+    later (e_i - 1), counted with multiplicity, and so must be the sum of
+    (a - 1) over all the arcs closed so far, since disjoint arcs are filled
+    by disjoint factors.  A child is entered only if the later lengths pack
+    exactly onto its cycles, and any exact packing completes, so every node
+    yields; the last factor is tested in its parent, and nodes wait on an
+    explicit stack.
 
     For tau = (1 2 ... d) every cycle of the target increases from its
     minimum (the noncrossing-partition picture), so the elements above m
     are the ones after it and the choices come in ``itertools.combinations``
     order.  For any other tau the elements above m are sorted by value.
+    With tau = (1 2 ... d), a node whose target is one cycle c of length
+    n = e_{r-2} + e_{r-1} - 1, with those two factors left, has exactly n
+    completions (Goulden-Jackson: a lone n-cycle has n minimal
+    factorizations into an a-cycle and a b-cycle).  Each is fixed by the
+    start s of the arc c[s:s+b] that becomes the last factor; sigma is c[s]
+    and the n - b elements outside that arc.  Such a node yields them by s
+    with no search, in O(n) per output; every other node, and every node of
+    another tau, takes the search above.
 
     ``stats`` counts the nodes entered, the candidates tested and the dead
-    ends among them (candidates whose child fails the packing).
+    ends among them (candidates whose child fails the packing).  A node in
+    closed form counts as the search would count it: one node, and one
+    candidate per completion, none of them a dead end.
     """
     last = len(e) - 1
     if not last:
@@ -367,22 +382,34 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
                 after = {q: len(later) - i for i, q in enumerate(later, 1)}
                 later.sort(key=r.__getitem__)
             others = cycles[:ci] + cycles[ci + 1 :]
+            if n == ek:  # sigma is all of c: its arcs are single elements, which pass every test
+                stats["candidates"] += 1
+                if len(others) > 1 and (leaf or not packs(others, k + 1)):
+                    stats["dead_ends"] += 1
+                else:
+                    yield tuple(r), others
+                continue
             end = n + first  # m's position once round the cycle, where the last arc ends
-            # sigma's positions in r, m's first; choices[i] iterates those for cut[i + 1]
-            cut, choices = [first], []
+            # sigma's positions in r, m's first; choices[i] iterates those for cut[i + 1];
+            # used[i] is the sum of (a - 1) over the arcs closed at cut[i]
+            cut, used, choices = [first], [0], []
             while cut:
                 if len(choices) < len(cut):  # the positions after q in value order, leaving room
                     q, need = cut[-1], ek - 1 - len(cut)
                     choices.append(
                         iter(range(q + 1, n - need) if ordered else [x for x in later if x > q and after[x] >= need])
                     )
+                at, u = cut[-1], used[-1]
                 for q in choices[-1]:
-                    if not arcs_ok >> (q - cut[-1]) & 1:
+                    # the new arc, and all the closed arcs together, must be fillable
+                    arc = q - at
+                    if not (arcs_ok >> arc & 1 and arcs_ok >> (u + arc) & 1):
                         continue
                     if len(cut) < ek - 1:
                         cut.append(q)
+                        used.append(u + arc - 1)
                         break
-                    if not arcs_ok >> (end - q) & 1:
+                    if not (arcs_ok >> (end - q) & 1 and arcs_ok >> (u + arc - 1 + end - q) & 1):
                         continue
                     stats["candidates"] += 1
                     cut.append(q)
@@ -399,17 +426,37 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
                 else:
                     choices.pop()
                     cut.pop()
+                    used.pop()
+
+    def completions(c):
+        # the n = e_{last-1} + e_last - 1 ways to split the one n-cycle c, in order:
+        # sigma takes c[s] and the n - b elements after the long arc c[s:s+b]
+        stats["nodes"] += 1
+        c = tuple(c)
+        n, b = len(c), e[last]
+        for s in (*range(n - b, -1, -1), *range(n - b + 1, n)):
+            stats["candidates"] += 1
+            if s + b <= n:
+                yield c[: s + 1] + c[s + b :], (c[s : s + b],)
+            else:
+                j = s + b - n
+                yield c[j : s + 1], (c[:j] + c[s:],)
+
+    def node(cycles, k):
+        if ordered and k + 1 == last and len(cycles) == 1:
+            return completions(cycles[0])
+        return children(cycles, k)
 
     out = [None] * (last + 1)
     # the root is a view, so the arcs sliced from it share its memory: a chain
     # of d cuts would otherwise copy d^2 / 2 elements
-    stack = [children([memoryview(typed_array("q", tau))], 0)]
+    stack = [node([memoryview(typed_array("q", tau))], 0)]
     while stack:
         k = len(stack) - 1
         for sigma, child in stack[-1]:
             out[k] = sigma
             if k + 1 < last:
-                stack.append(children(child, k + 1))
+                stack.append(node(child, k + 1))
                 break
             c = tuple(child[0])  # the one e_last-cycle left; ordered, it starts at its minimum
             if not ordered:
@@ -452,15 +499,16 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
 
     def gen():
         # both searches emit distinct elements inside supp(tau), and
-        # consecutive outputs share their leading factors' element tuples, so
-        # a factor's Cycle is built once and kept while its tuple lasts
-        previous = sigmas = (None,) * len(ftype.e)
-        for elem_tuple in stream:
-            sigmas = tuple(
-                [s if x is y else Cycle(d, x) for x, y, s in zip(elem_tuple, previous, sigmas)]
-            )
-            previous = elem_tuple
-            yield Factorization(ftype, tau, sigmas)
+        # consecutive outputs share their leading tuples as the same objects,
+        # so only the factors from the first changed position on are wrapped
+        previous, sigmas = (), []
+        for elems in stream:
+            i = 0
+            while i < len(previous) and elems[i] is previous[i]:
+                i += 1
+            sigmas[i:] = [Cycle(d, x) for x in elems[i:]]
+            previous = elems
+            yield Factorization(ftype, tau, tuple(sigmas))
 
     return gen()
 

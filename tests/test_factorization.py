@@ -221,6 +221,29 @@ class TestEnumeration:
         keys = [tuple(s.elements for s in f.sigmas) for f in fs]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("e", [(2, 50, 50), (50, 51)])
+    def test_closed_form_last_level_at_d_100(self, e):
+        # on tau = (1 2 ... d) the last two factors of a one-cycle target come in
+        # closed form; a shuffled tau walks them generically, so relabeled and
+        # sorted, its stream is the oracle, and its stats must be the same
+        from cyclefactor.factorization import factor_tuples
+
+        d = 100
+        stats = {}
+        got = list(factor_tuples(d, standard_cycle(d), e, stats))
+        assert len(got) == d ** (len(e) - 1)
+        assert all(a < b for a, b in zip(got, got[1:]))
+        ftype = FactorizationType(d, e)
+        assert all(validate(Factorization(ftype, standard_cycle(d), tuple(Cycle(d, x) for x in f))) for f in got)
+        assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + len(got)
+        rest = list(range(2, d + 1))
+        random.Random(d).shuffle(rest)
+        shuffled_stats = {}
+        fs = enumerate_factorizations(d, Cycle(d, (1, *rest)), e, shuffled_stats)
+        relabeled = sorted(tuple(s.elements for s in standardize(f)[0].sigmas) for f in fs)
+        assert relabeled == got
+        assert shuffled_stats == stats
+
     def test_first_transposition_factorization_at_d_1100(self):
         # 1,099 factors: deeper than the interpreter's recursion limit
         f = next(iter(enumerate_factorizations(1100, standard_cycle(1100), (2,) * 1099)))
