@@ -33,6 +33,7 @@ from .factorization import (
     factor_tuples,
     factorization_from_json,
     factorization_to_json,
+    first_change,
     standardize,
 )
 from .graph import (
@@ -193,15 +194,12 @@ def cmd_enumerate(args) -> int:
         tau = standard_cycle(args.d)
         if args.kind == "factorization":
             # factorization_to_json(f), with its fixed d and tau rendered once;
-            # consecutive outputs share their leading tuples as the same objects,
-            # so each factor is rendered once while its tuple lasts
+            # each factor is rendered once while its tuple lasts
             head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":[['
             write = sys.stdout.write
             previous, parts = (), []
             for elems in factor_tuples(args.d, tau, e, stats):
-                i = 0
-                while i < len(previous) and elems[i] is previous[i]:
-                    i += 1
+                i = first_change(previous, elems)
                 parts[i:] = [",".join(map(str, x)) for x in elems[i:]]
                 previous = elems
                 write(head + "],[".join(parts) + "]]}\n")

@@ -323,6 +323,9 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
     minimum (the noncrossing-partition picture), so the elements above m
     are the ones after it and the choices come in ``itertools.combinations``
     order.  For any other tau the elements above m are sorted by value.
+    A cycle of exactly e_k elements is taken whole without the cut loop:
+    every choice is forced and its one-element arcs pass every test, so only
+    the loop's setup is saved, which matters where short cycles abound.
     With tau = (1 2 ... d), a node whose target is one cycle c of length
     n = e_{r-2} + e_{r-1} - 1, with those two factors left, has exactly n
     completions (Goulden-Jackson: a lone n-cycle has n minimal
@@ -382,7 +385,7 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
                 after = {q: len(later) - i for i, q in enumerate(later, 1)}
                 later.sort(key=r.__getitem__)
             others = cycles[:ci] + cycles[ci + 1 :]
-            if n == ek:  # sigma is all of c: its arcs are single elements, which pass every test
+            if n == ek:  # sigma is all of c, forced; the cut loop would reach the same test
                 stats["candidates"] += 1
                 if len(others) > 1 and (leaf or not packs(others, k + 1)):
                     stats["dead_ends"] += 1
@@ -487,6 +490,18 @@ def factor_tuples(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[
     return _cayley_stream(d, tau, e, stats)
 
 
+def first_change(previous: tuple, elems: tuple) -> int:
+    """The first position where ``factor_tuples`` output ``elems`` differs from ``previous``.
+
+    Consecutive outputs share their leading tuples as the same objects, so a
+    caller keeps whatever it derived from the factors before that position.
+    """
+    i = 0
+    while i < len(previous) and elems[i] is previous[i]:
+        i += 1
+    return i
+
+
 def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[Factorization]:
     """Stream every factorization of tau with factor lengths e, exactly once.
 
@@ -498,14 +513,11 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
     stream = factor_tuples(d, tau, ftype.e, stats)
 
     def gen():
-        # both searches emit distinct elements inside supp(tau), and
-        # consecutive outputs share their leading tuples as the same objects,
-        # so only the factors from the first changed position on are wrapped
+        # both searches emit distinct elements inside supp(tau); only the
+        # factors from the first changed position on are wrapped
         previous, sigmas = (), []
         for elems in stream:
-            i = 0
-            while i < len(previous) and elems[i] is previous[i]:
-                i += 1
+            i = first_change(previous, elems)
             sigmas[i:] = [Cycle(d, x) for x in elems[i:]]
             previous = elems
             yield Factorization(ftype, tau, tuple(sigmas))

@@ -221,6 +221,20 @@ class TestEnumeration:
         keys = [tuple(s.elements for s in f.sigmas) for f in fs]
         assert keys == sorted(keys)
 
+    def test_first_change_goes_by_identity(self):
+        from cyclefactor.factorization import factor_tuples, first_change
+
+        a, b = (1, 2), (2, 3)
+        assert first_change((), (a, b)) == 0
+        assert first_change((a, b), (a, (2, 4))) == 1
+        assert first_change((a, b), (a, b)) == 2
+        assert first_change((a, b), (tuple([1, 2]), b)) == 0  # equal but not shared
+        # the walker shares every factor before the first one that changed
+        outs = list(factor_tuples(6, standard_cycle(6), (2, 3, 2, 2)))
+        for previous, elems in zip(outs, outs[1:]):
+            i = first_change(previous, elems)
+            assert i < len(elems) and elems[i] != previous[i]
+
     @pytest.mark.parametrize("e", [(2, 50, 50), (50, 51)])
     def test_closed_form_last_level_at_d_100(self, e):
         # on tau = (1 2 ... d) the last two factors of a one-cycle target come in
