@@ -1,22 +1,23 @@
 """Factorizations of a d-cycle into cycle factors, and exact count formulas.
 
 The enumeration walks tuples (sigma_1, ..., sigma_{r-1}) of cycles of
-prescribed lengths whose ordered product equals a fixed d-cycle tau, in
-lexicographic order of the factor sequences.  Two searches produce that
-stream:
+prescribed lengths whose ordered product equals (1 2 ... d), in
+lexicographic order of the factor sequences, and carries that stream onto
+any other d-cycle tau by one relabeling: point i becomes the i-th element
+of tau.  So every stream is in lexicographic order of its factors read as
+positions round tau.  Two searches produce the stream on (1 2 ... d):
 
 * genus 0 (``_walk_genus0``): each factor lies below the remaining target
-  in absolute order, so it is taken from the target's own cycles, read in
-  cycle order.  Candidates stream by their minimum, with no candidate
-  list: the other elements are chosen depth first in order of value (for
-  tau = (1 2 ... d), plain ``itertools.combinations`` order), a choice is
-  dropped as soon as its arc closes if the later lengths cannot fill that
-  arc, or all the arcs closed so far together, and a branch is entered
-  only if the remaining lengths pack exactly onto the cycles it leaves, so
-  every branch yields.  For tau = (1 2 ... d), a node whose target is one
-  n-cycle with two factors left yields its n completions in closed form,
-  one per start of the long arc.  Nodes wait on an explicit stack, so no
-  type is too deep to walk.
+  in absolute order, so it is taken from the target's own cycles, each of
+  which increases from its minimum.  Candidates stream by their minimum in
+  plain ``itertools.combinations`` order, with no candidate list; a choice
+  is dropped as soon as its arc closes if the later lengths cannot fill
+  that arc, or all the arcs closed so far together, and a branch is
+  entered only if the remaining lengths pack exactly onto the cycles it
+  leaves, so every branch yields.  A node whose target is one n-cycle with
+  two factors left yields its n completions in closed form, one per start
+  of the long arc.  Nodes wait on an explicit stack, so no type is too
+  deep to walk.
 * every genus (``_search``, the one search core): each factor is taken
   from a table of candidates, the last factor is solved for, and branches
   whose remaining target is too far (in Cayley distance) from the identity
@@ -301,39 +302,34 @@ def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
     return False
 
 
-def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
-    """Yield the factor-element tuples of a genus-0 type, in lexicographic order.
+def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
+    """Yield the factor-element tuples of a genus-0 type of (1 2 ... d), in lexicographic order.
 
     A node holds the nontrivial cycles of the remaining target.  In genus 0
     sigma_{k+1} lies below the target in absolute order: its support is an
-    e_k-subset of one target cycle, read in that cycle's order from its
-    minimum m, and sigma^{-1} * target cuts that cycle into e_k arcs, each
-    starting at a chosen element.  Candidates stream by m in increasing
-    value; the other elements, all above m, are chosen depth first in
-    increasing value, and an arc is tested as soon as its end is chosen:
-    an arc of a elements is viable only if a - 1 is the sum of some of the
-    later (e_i - 1), counted with multiplicity, and so must be the sum of
-    (a - 1) over all the arcs closed so far, since disjoint arcs are filled
-    by disjoint factors.  A child is entered only if the later lengths pack
-    exactly onto its cycles, and any exact packing completes, so every node
-    yields; the last factor is tested in its parent, and nodes wait on an
-    explicit stack.
+    e_k-subset of one target cycle, and sigma^{-1} * target cuts that cycle
+    into e_k arcs, each starting at a chosen element.  Every cycle of the
+    target increases from its minimum (the noncrossing-partition picture),
+    so sigma is read from its minimum m, the other elements are the ones
+    after m, and the choices come in ``itertools.combinations`` order:
+    candidates stream by m, and the other elements are chosen depth first.
+    An arc is tested as soon as its end is chosen: an arc of a elements is
+    viable only if a - 1 is the sum of some of the later (e_i - 1), counted
+    with multiplicity, and so must be the sum of (a - 1) over all the arcs
+    closed so far, since disjoint arcs are filled by disjoint factors.  A
+    child is entered only if the later lengths pack exactly onto its cycles,
+    and any exact packing completes, so every node yields; the last factor
+    is tested in its parent, and nodes wait on an explicit stack.
 
-    For tau = (1 2 ... d) every cycle of the target increases from its
-    minimum (the noncrossing-partition picture), so the elements above m
-    are the ones after it and the choices come in ``itertools.combinations``
-    order.  For any other tau the elements above m are sorted by value.
     A cycle of exactly e_k elements is taken whole without the cut loop:
     every choice is forced and its one-element arcs pass every test, so only
     the loop's setup is saved, which matters where short cycles abound.
-    With tau = (1 2 ... d), a node whose target is one cycle c of length
-    n = e_{r-2} + e_{r-1} - 1, with those two factors left, has exactly n
-    completions (Goulden-Jackson: a lone n-cycle has n minimal
-    factorizations into an a-cycle and a b-cycle).  Each is fixed by the
-    start s of the arc c[s:s+b] that becomes the last factor; sigma is c[s]
-    and the n - b elements outside that arc.  Such a node yields them by s
-    with no search, in O(n) per output; every other node, and every node of
-    another tau, takes the search above.
+    A node whose target is one cycle c of length n = e_{r-2} + e_{r-1} - 1,
+    with those two factors left, has exactly n completions (Goulden-Jackson:
+    a lone n-cycle has n minimal factorizations into an a-cycle and a
+    b-cycle).  Each is fixed by the start s of the arc c[s:s+b] that becomes
+    the last factor; sigma is c[s] and the n - b elements outside that arc.
+    Such a node yields them by s with no search, in O(n) per output.
 
     ``stats`` counts the nodes entered, the candidates tested and the dead
     ends among them (candidates whose child fails the packing).  A node in
@@ -342,9 +338,8 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
     """
     last = len(e) - 1
     if not last:
-        yield (tau,)
+        yield (tuple(range(1, d + 1)),)
         return
-    ordered = tau == tuple(range(1, len(tau) + 1))
     # bit a of viable[k] is set iff a - 1 is the sum of some (e_i - 1), i > k
     viable = [0] * last
     sums = 1
@@ -361,47 +356,32 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
             ok = fits[k, lengths] = _packs(items, tuple(n - 1 for n in lengths))
         return ok
 
-    def minima(c, ci, ek):
-        # (m, ci, p) for each element m = c[p] with at least ek - 1 larger ones in c
-        if ordered:
-            return zip(c, itertools.repeat(ci), range(len(c) - ek + 1))
-        ps = sorted(range(len(c)), key=c.__getitem__)[: len(c) - ek + 1]
-        return zip(map(c.__getitem__, ps), itertools.repeat(ci), ps)
-
     def children(cycles, k):
         # (sigma_{k+1}, the child's cycles) for each candidate that passes, in order
         stats["nodes"] += 1
         ek, arcs_ok, leaf = e[k], viable[k], k + 1 == last
-        starts = [minima(c, ci, ek) for ci, c in enumerate(cycles) if len(c) >= ek]
+        # (m, ci, p) for each element m = c[p] with at least ek - 1 elements after it
+        starts = [zip(c, itertools.repeat(ci), range(len(c) - ek + 1)) for ci, c in enumerate(cycles) if len(c) >= ek]
         # the cycles' runs of minima, merged by value
         for m, ci, p in starts[0] if len(starts) == 1 else sorted(itertools.chain(*starts)):
             c = cycles[ci]
             n = len(c)
-            if ordered:  # the elements above m are the ones after it, in increasing value
-                r, first = c, p
-            else:  # read c from m, and take the elements above m by value
-                r, first = (*c[p:], *c[:p]), 0
-                later = [q for q in range(1, n) if r[q] > m]
-                after = {q: len(later) - i for i, q in enumerate(later, 1)}
-                later.sort(key=r.__getitem__)
             others = cycles[:ci] + cycles[ci + 1 :]
             if n == ek:  # sigma is all of c, forced; the cut loop would reach the same test
                 stats["candidates"] += 1
                 if len(others) > 1 and (leaf or not packs(others, k + 1)):
                     stats["dead_ends"] += 1
                 else:
-                    yield tuple(r), others
+                    yield tuple(c), others
                 continue
-            end = n + first  # m's position once round the cycle, where the last arc ends
-            # sigma's positions in r, m's first; choices[i] iterates those for cut[i + 1];
+            end = n + p  # m's position once round the cycle, where the last arc ends
+            # sigma's positions in c, m's first; choices[i] iterates those for cut[i + 1];
             # used[i] is the sum of (a - 1) over the arcs closed at cut[i]
-            cut, used, choices = [first], [0], []
+            cut, used, choices = [p], [0], []
             while cut:
-                if len(choices) < len(cut):  # the positions after q in value order, leaving room
-                    q, need = cut[-1], ek - 1 - len(cut)
-                    choices.append(
-                        iter(range(q + 1, n - need) if ordered else [x for x in later if x > q and after[x] >= need])
-                    )
+                if len(choices) < len(cut):  # the positions after q, leaving room
+                    q = cut[-1]
+                    choices.append(iter(range(q + 1, n - (ek - 1 - len(cut)))))
                 at, u = cut[-1], used[-1]
                 for q in choices[-1]:
                     # the new arc, and all the closed arcs together, must be fillable
@@ -416,10 +396,10 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
                         continue
                     stats["candidates"] += 1
                     cut.append(q)
-                    sigma = tuple(map(r.__getitem__, cut))
-                    child = others + [r[a:b] for a, b in zip(cut, cut[1:]) if b - a > 1]
+                    sigma = tuple(map(c.__getitem__, cut))
+                    child = others + [c[a:b] for a, b in zip(cut, cut[1:]) if b - a > 1]
                     cut.pop()
-                    tail = (*r[:first], *r[q:]) if first else r[q:]
+                    tail = (*c[:p], *c[q:]) if p else c[q:]
                     if len(tail) > 1:
                         child.append(tail)
                     if len(child) > 1 and (leaf or not packs(child, k + 1)):
@@ -446,14 +426,12 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
                 yield c[j : s + 1], (c[:j] + c[s:],)
 
     def node(cycles, k):
-        if ordered and k + 1 == last and len(cycles) == 1:
-            return completions(cycles[0])
-        return children(cycles, k)
+        return completions(cycles[0]) if k + 1 == last and len(cycles) == 1 else children(cycles, k)
 
     out = [None] * (last + 1)
     # the root is a view, so the arcs sliced from it share its memory: a chain
     # of d cuts would otherwise copy d^2 / 2 elements
-    stack = [node([memoryview(typed_array("q", tau))], 0)]
+    stack = [node([memoryview(typed_array("q", range(1, d + 1)))], 0)]
     while stack:
         k = len(stack) - 1
         for sigma, child in stack[-1]:
@@ -461,33 +439,55 @@ def _walk_genus0(tau: tuple[int, ...], e: tuple[int, ...], stats: dict):
             if k + 1 < last:
                 stack.append(node(child, k + 1))
                 break
-            c = tuple(child[0])  # the one e_last-cycle left; ordered, it starts at its minimum
-            if not ordered:
-                i = c.index(min(c))
-                c = c[i:] + c[:i]
-            out[last] = c
+            out[last] = tuple(child[0])  # the one e_last-cycle left, from its minimum
             yield tuple(out)
         else:
             stack.pop()
 
 
+def _relabel(stream, tau: tuple[int, ...]):
+    """Carry a stream of (1 2 ... d) onto the circle tau: point i becomes tau[i - 1].
+
+    Each factor is rotated to start at its minimum.  Only the factors from
+    ``first_change`` on are relabeled, so outputs still share their leading
+    tuples.
+    """
+    at = (None, *tau)
+    previous, out = (), []
+    for elems in stream:
+        i = first_change(previous, elems)
+        del out[i:]
+        for x in elems[i:]:
+            y = tuple(map(at.__getitem__, x))
+            j = y.index(min(y))
+            out.append(y[j:] + y[:j])
+        previous = elems
+        yield tuple(out)
+
+
 def factor_tuples(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Stream every factorization of tau with lengths e as its factors' element tuples.
 
-    Each factor is its canonical min-first tuple, in lexicographic order, and
-    an output shares its leading tuples (the same objects) with the one before.
-    Into ``stats`` go the walker's nodes, candidates and dead ends (genus 0) or
-    the search core's nodes, targets and reuses.
+    Each factor is its canonical min-first tuple, and an output shares its
+    leading tuples (the same objects) with the one before.  The walk (genus
+    0) or the search core runs on (1 2 ... d), in lexicographic order of the
+    factor sequences; ``_relabel`` carries that stream onto any other tau,
+    so a stream is in lexicographic order of its factors read as positions
+    round tau.  Into ``stats`` go the walker's nodes, candidates and dead
+    ends (genus 0) or the search core's nodes, targets and reuses.
     """
     e = tuple(e)
     ftype = FactorizationType(d, e)  # validates lengths and genus
     if tau.degree != d or tau.length != d:
         raise ValueError(f"tau must be a {d}-cycle of degree {d}")
+    standard = standard_cycle(d)
     if ftype.genus == 0:
         stats = {} if stats is None else stats
         stats.update(nodes=0, candidates=0, dead_ends=0)
-        return _walk_genus0(tau.elements, e, stats)
-    return _cayley_stream(d, tau, e, stats)
+        stream = _walk_genus0(d, e, stats)
+    else:
+        stream = _cayley_stream(d, standard, e, stats)
+    return stream if tau == standard else _relabel(stream, tau.elements)
 
 
 def first_change(previous: tuple, elems: tuple) -> int:

@@ -40,6 +40,12 @@ def genus0_types(d):
         yield tuple(c + 1 for c in comp)
 
 
+def by_position(tau):
+    """Sort key of a stream: each factor read as positions round tau, from its minimum."""
+    pos = {x: i for i, x in enumerate(tau.elements, 1)}
+    return lambda fs: tuple(Cycle(tau.degree, tuple(pos[x] for x in c)).elements for c in fs)
+
+
 class TestFactorizationType:
     def test_genus(self):
         assert FactorizationType(4, (2, 2, 2)).genus == 0
@@ -154,8 +160,9 @@ class TestEnumeration:
 
     def test_positive_genus_stream_matches_product_oracle(self):
         # oracle: every tuple of cycles of the given lengths whose product is tau, sorted;
-        # every genus-1 type at d <= 4, and those with at most three factors at d = 5
-        from cyclefactor.factorization import _cayley_stream
+        # every genus-1 type at d <= 4, and those with at most three factors at d = 5.
+        # The search core on tau gives them by value, factor_tuples by position round tau
+        from cyclefactor.factorization import _cayley_stream, factor_tuples
         from cyclefactor.perm import product
         from cyclefactor.verify import compositions
 
@@ -177,11 +184,13 @@ class TestEnumeration:
                         if product([images[ei][c] for ei, c in zip(e, fs)], d) == tau.images()
                     )
                     assert list(_cayley_stream(d, tau, e)) == expected, (d, e, tau)
+                    assert list(factor_tuples(d, tau, e)) == sorted(expected, key=by_position(tau)), (d, e, tau)
                     total += len(expected)
         assert total > 0
 
     def test_genus0_walker_matches_cayley_search(self):
-        # oracle: the Cayley-prune search, which tries every e-cycle of S_d
+        # oracle: the Cayley-prune search on tau itself, which tries every e-cycle of S_d;
+        # the walker runs on (1 2 ... d), so its stream is in order of position round tau
         from cyclefactor.factorization import _cayley_stream, factor_tuples
 
         rng = random.Random(3)
@@ -190,7 +199,7 @@ class TestEnumeration:
             rng.shuffle(rest)
             for tau in (standard_cycle(d), Cycle(d, (1, *rest))):
                 for e in genus0_types(d):
-                    expected = list(_cayley_stream(d, tau, e))
+                    expected = sorted(_cayley_stream(d, tau, e), key=by_position(tau))
                     assert list(factor_tuples(d, tau, e)) == expected
 
     def test_emitted_factors_equal_validated_cycles(self):
@@ -229,17 +238,19 @@ class TestEnumeration:
         assert first_change((a, b), (a, (2, 4))) == 1
         assert first_change((a, b), (a, b)) == 2
         assert first_change((a, b), (tuple([1, 2]), b)) == 0  # equal but not shared
-        # the walker shares every factor before the first one that changed
-        outs = list(factor_tuples(6, standard_cycle(6), (2, 3, 2, 2)))
-        for previous, elems in zip(outs, outs[1:]):
-            i = first_change(previous, elems)
-            assert i < len(elems) and elems[i] != previous[i]
+        # the walker shares every factor before the first one that changed, and so
+        # does its stream relabeled onto another circle
+        for tau in (standard_cycle(6), Cycle(6, (1, 4, 2, 6, 3, 5))):
+            outs = list(factor_tuples(6, tau, (2, 3, 2, 2)))
+            for previous, elems in zip(outs, outs[1:]):
+                i = first_change(previous, elems)
+                assert i < len(elems) and elems[i] != previous[i]
 
     @pytest.mark.parametrize("e", [(2, 50, 50), (50, 51)])
     def test_closed_form_last_level_at_d_100(self, e):
-        # on tau = (1 2 ... d) the last two factors of a one-cycle target come in
-        # closed form; a shuffled tau walks them generically, so relabeled and
-        # sorted, its stream is the oracle, and its stats must be the same
+        # the last two factors of a one-cycle target come in closed form; a shuffled
+        # tau is the same walk relabeled, so standardized back it must give the
+        # same stream in the same order, with the same stats
         from cyclefactor.factorization import factor_tuples
 
         d = 100
@@ -254,7 +265,7 @@ class TestEnumeration:
         random.Random(d).shuffle(rest)
         shuffled_stats = {}
         fs = enumerate_factorizations(d, Cycle(d, (1, *rest)), e, shuffled_stats)
-        relabeled = sorted(tuple(s.elements for s in standardize(f)[0].sigmas) for f in fs)
+        relabeled = [tuple(s.elements for s in standardize(f)[0].sigmas) for f in fs]
         assert relabeled == got
         assert shuffled_stats == stats
 
