@@ -8,7 +8,8 @@ The parser is built on the first ``main`` call and reused by every later
 call in the process.  Every JSON line goes through one compact encoder,
 except the lines of ``enumerate --kind factorization``: it renders the part
 of a line that does not change, ``{"d":...,"tau":[...],"sigmas":``, once
-per call, and each factor once while consecutive lines share it.
+per call, and each factor once while consecutive lines share it, through
+one ``%`` format per factor length.
 """
 
 from __future__ import annotations
@@ -194,13 +195,14 @@ def cmd_enumerate(args) -> int:
         tau = standard_cycle(args.d)
         if args.kind == "factorization":
             # factorization_to_json(f), with its fixed d and tau rendered once;
-            # each factor is rendered once while its tuple lasts
+            # each factor is rendered once while its tuple lasts, by one format per length
+            formats = {n: ",".join(["%d"] * n) for n in e}
             head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":[['
             write = sys.stdout.write
             previous, parts = (), []
             for elems in factor_tuples(args.d, tau, e, stats):
                 i = first_change(previous, elems)
-                parts[i:] = [",".join(map(str, x)) for x in elems[i:]]
+                parts[i:] = [formats[len(x)] % x for x in elems[i:]]
                 previous = elems
                 write(head + "],[".join(parts) + "]]}\n")
                 count += 1

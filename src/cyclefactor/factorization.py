@@ -14,10 +14,10 @@ positions round tau.  Two searches produce the stream on (1 2 ... d):
   is dropped as soon as its arc closes if the later lengths cannot fill
   that arc, or all the arcs closed so far together, and a branch is
   entered only if the remaining lengths pack exactly onto the cycles it
-  leaves, so every branch yields.  A node whose target is one n-cycle with
-  two factors left yields its n completions in closed form, one per start
-  of the long arc.  Nodes wait on an explicit stack, so no type is too
-  deep to walk.
+  leaves, so every branch yields.  A node with two factors left does not
+  search: on one n-cycle it yields its n completions in closed form, one
+  per start of the long arc, and on two cycles each factor is a whole
+  cycle.  Nodes wait on an explicit stack, so no type is too deep to walk.
 * every genus (``_search``, the one search core): each factor is taken
   from a table of candidates, the last factor is solved for, and branches
   whose remaining target is too far (in Cayley distance) from the identity
@@ -318,23 +318,30 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     with multiplicity, and so must be the sum of (a - 1) over all the arcs
     closed so far, since disjoint arcs are filled by disjoint factors.  A
     child is entered only if the later lengths pack exactly onto its cycles,
-    and any exact packing completes, so every node yields; the last factor
-    is tested in its parent, and nodes wait on an explicit stack.
+    and any exact packing completes, so every node yields; nodes wait on an
+    explicit stack.
 
     A cycle of exactly e_k elements is taken whole without the cut loop:
     every choice is forced and its one-element arcs pass every test, so only
     the loop's setup is saved, which matters where short cycles abound.
-    A node whose target is one cycle c of length n = e_{r-2} + e_{r-1} - 1,
-    with those two factors left, has exactly n completions (Goulden-Jackson:
-    a lone n-cycle has n minimal factorizations into an a-cycle and a
-    b-cycle).  Each is fixed by the start s of the arc c[s:s+b] that becomes
-    the last factor; sigma is c[s] and the n - b elements outside that arc.
-    Such a node yields them by s with no search, in O(n) per output.
+    A node with the two factors e_{r-2}, e_{r-1} left yields its (sigma,
+    last factor) pairs with no search, in O(n) per output.  If its target is
+    one cycle c of length n = e_{r-2} + e_{r-1} - 1, it has exactly n
+    completions (Goulden-Jackson: a lone n-cycle has n minimal
+    factorizations into an a-cycle and a b-cycle).  Each is fixed by the
+    start s of the arc c[s:s+b] that becomes the last factor; sigma is c[s]
+    and the n - b elements outside that arc, and they come by s.  If its
+    target is two cycles, each factor is one of them whole (a cycle has one
+    minimal factorization into itself), so sigma is each cycle of length
+    e_{r-2} in turn, by minimum, and the other cycle is the last factor.
+    The main loop adds each pair to the prefix of factors above it, so
+    outputs share those leading tuples.
 
     ``stats`` counts the nodes entered, the candidates tested and the dead
     ends among them (candidates whose child fails the packing).  A node in
     closed form counts as the search would count it: one node, and one
-    candidate per completion, none of them a dead end.
+    candidate per completion, none of them a dead end (on two cycles the
+    arc tests refuse every cut of the longer cycle).
     """
     last = len(e) - 1
     if not last:
@@ -359,7 +366,7 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     def children(cycles, k):
         # (sigma_{k+1}, the child's cycles) for each candidate that passes, in order
         stats["nodes"] += 1
-        ek, arcs_ok, leaf = e[k], viable[k], k + 1 == last
+        ek, arcs_ok = e[k], viable[k]
         # (m, ci, p) for each element m = c[p] with at least ek - 1 elements after it
         starts = [zip(c, itertools.repeat(ci), range(len(c) - ek + 1)) for ci, c in enumerate(cycles) if len(c) >= ek]
         # the cycles' runs of minima, merged by value
@@ -369,7 +376,7 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
             others = cycles[:ci] + cycles[ci + 1 :]
             if n == ek:  # sigma is all of c, forced; the cut loop would reach the same test
                 stats["candidates"] += 1
-                if len(others) > 1 and (leaf or not packs(others, k + 1)):
+                if len(others) > 1 and not packs(others, k + 1):
                     stats["dead_ends"] += 1
                 else:
                     yield tuple(c), others
@@ -402,7 +409,7 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
                     tail = (*c[:p], *c[q:]) if p else c[q:]
                     if len(tail) > 1:
                         child.append(tail)
-                    if len(child) > 1 and (leaf or not packs(child, k + 1)):
+                    if len(child) > 1 and not packs(child, k + 1):
                         stats["dead_ends"] += 1
                     else:
                         yield sigma, child
@@ -411,36 +418,44 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
                     cut.pop()
                     used.pop()
 
-    def completions(c):
-        # the n = e_{last-1} + e_last - 1 ways to split the one n-cycle c, in order:
-        # sigma takes c[s] and the n - b elements after the long arc c[s:s+b]
+    def completions(cycles):
+        # the node's (sigma, last factor) pairs, in order; both factors are forced
         stats["nodes"] += 1
-        c = tuple(c)
+        if len(cycles) == 2:  # each factor is a whole cycle, sigma the one of length e[last - 1]
+            a, b = sorted(map(tuple, cycles))
+            for sigma, z in (a, b), (b, a):
+                if len(sigma) == e[last - 1]:
+                    stats["candidates"] += 1
+                    yield sigma, z
+            return
+        # one n-cycle c, n = e[last - 1] + e[last] - 1: sigma takes c[s] and the
+        # n - b elements after the long arc c[s:s+b]
+        c = tuple(cycles[0])
         n, b = len(c), e[last]
         for s in (*range(n - b, -1, -1), *range(n - b + 1, n)):
             stats["candidates"] += 1
             if s + b <= n:
-                yield c[: s + 1] + c[s + b :], (c[s : s + b],)
+                yield c[: s + 1] + c[s + b :], c[s : s + b]
             else:
                 j = s + b - n
-                yield c[j : s + 1], (c[:j] + c[s:],)
+                yield c[j : s + 1], c[:j] + c[s:]
 
     def node(cycles, k):
-        return completions(cycles[0]) if k + 1 == last and len(cycles) == 1 else children(cycles, k)
+        return completions(cycles) if k + 1 == last else children(cycles, k)
 
-    out = [None] * (last + 1)
+    out = [None] * (last - 1)
     # the root is a view, so the arcs sliced from it share its memory: a chain
     # of d cuts would otherwise copy d^2 / 2 elements
     stack = [node([memoryview(typed_array("q", range(1, d + 1)))], 0)]
     while stack:
         k = len(stack) - 1
+        if k + 1 == last:  # each (sigma, last factor) pair completes the prefix
+            yield from map(tuple(out).__add__, stack.pop())
+            continue
         for sigma, child in stack[-1]:
             out[k] = sigma
-            if k + 1 < last:
-                stack.append(node(child, k + 1))
-                break
-            out[last] = tuple(child[0])  # the one e_last-cycle left, from its minimum
-            yield tuple(out)
+            stack.append(node(child, k + 1))
+            break
         else:
             stack.pop()
 

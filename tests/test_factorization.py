@@ -46,6 +46,45 @@ def by_position(tau):
     return lambda fs: tuple(Cycle(tau.degree, tuple(pos[x] for x in c)).elements for c in fs)
 
 
+# (nodes, candidates, dead ends) of the genus-0 walker on (1 2 ... 7), per type,
+# and its totals over the 64 genus-0 types at d = 8
+WALKER_STATS_D7 = {
+    (2, 2, 2, 2, 2, 2): (9185, 25991, 0),
+    (2, 2, 2, 2, 3): (1639, 4382, 343),
+    (2, 2, 2, 3, 2): (1639, 4382, 343),
+    (2, 2, 2, 4): (169, 511, 0),
+    (2, 2, 3, 2, 2): (1296, 3696, 0),
+    (2, 2, 3, 3): (120, 462, 0),
+    (2, 2, 4, 2): (169, 511, 0),
+    (2, 2, 5): (15, 63, 0),
+    (2, 3, 2, 2, 2): (1296, 3696, 0),
+    (2, 3, 2, 3): (218, 609, 49),
+    (2, 3, 3, 2): (218, 609, 49),
+    (2, 3, 4): (15, 63, 0),
+    (2, 4, 2, 2): (169, 511, 0),
+    (2, 4, 3): (15, 63, 0),
+    (2, 5, 2): (15, 63, 0),
+    (2, 6): (1, 7, 0),
+    (3, 2, 2, 2, 2): (1310, 3710, 0),
+    (3, 2, 2, 3): (232, 623, 49),
+    (3, 2, 3, 2): (232, 623, 49),
+    (3, 2, 4): (22, 70, 0),
+    (3, 3, 2, 2): (183, 525, 0),
+    (3, 3, 3): (15, 63, 0),
+    (3, 4, 2): (22, 70, 0),
+    (3, 5): (1, 7, 0),
+    (4, 2, 2, 2): (183, 525, 0),
+    (4, 2, 3): (29, 84, 7),
+    (4, 3, 2): (29, 84, 7),
+    (4, 4): (1, 7, 0),
+    (5, 2, 2): (22, 70, 0),
+    (5, 3): (1, 7, 0),
+    (6, 2): (1, 7, 0),
+    (7,): (0, 0, 0),
+}
+WALKER_TOTALS_D8 = (318669, 872420, 22374)
+
+
 class TestFactorizationType:
     def test_genus(self):
         assert FactorizationType(4, (2, 2, 2)).genus == 0
@@ -212,6 +251,7 @@ class TestEnumeration:
     def test_genus0_walker_nodes_per_output(self):
         from cyclefactor.factorization import factor_tuples
 
+        totals = [0, 0, 0]
         for d in range(2, 9):
             for e in genus0_types(d):
                 stats = {}
@@ -221,6 +261,13 @@ class TestEnumeration:
                 assert stats["candidates"] < d * outputs, (d, e, stats, outputs)
                 # every candidate is a dead end, enters a node, or is an output
                 assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + outputs
+                # the exact counts, which a closed form must reproduce node for node
+                counts = (stats["nodes"], stats["candidates"], stats["dead_ends"])
+                if d == 7:
+                    assert counts == WALKER_STATS_D7[e], (e, counts)
+                if d == 8:
+                    totals = [t + c for t, c in zip(totals, counts)]
+        assert tuple(totals) == WALKER_TOTALS_D8
 
     def test_two_factor_type_at_d_100(self):
         # listing the candidates first would mean all C(100, 51) subsets of the 100-cycle
