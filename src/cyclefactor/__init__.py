@@ -16,6 +16,7 @@ from .perm import (
     index,
     is_clockwise_on,
     is_counterclockwise_on,
+    positions,
     product,
     pure_cycle_type,
     split_circle_product,
@@ -35,7 +36,6 @@ from .factorization import (
     formula_hurwitz_simple,
     hurwitz_count_bruteforce,
     pure_cycle_datum,
-    standardize,
     validate,
 )
 from .graph import (
@@ -80,7 +80,6 @@ from .bijection import (
     LabelRanges,
     phi_labeled,
     psi,
-    standardize_graph,
     unique_labeling,
 )
 

@@ -6,9 +6,9 @@ each factor vertex into a multi-noded vertex whose nodes carry its children;
 unique node labeling whose unfolding is a factorization graph, and
 ``unique_labeling`` computes it as the order of one walk over the nodes.
 
-The core maps assume the base cycle is (1 2 ... d).  Graphs over another
-base cycle are relabeled on the way in (see ``standardize``); the value map
-is recoverable from the original cycle.
+The maps run on the base cycle (1 2 ... d); every other d-cycle is a
+conjugate of it.  ``convert`` carries a graph or factorization on another
+circle onto (1 2 ... m) where it reads it, by ``perm.positions``.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ def phi_labeled(g: FactorizationGraph) -> LabeledMNR:
     The root is a single-noded vertex 0 holding the node labeled 1; the j-th
     factor vertex becomes an (e_j - 1)-noded vertex whose nodes carry its
     children in increasing order, attached to its parent's node.  It trusts
-    g to be a factorization graph, as ``graph.gate_failure`` proves.
+    g to be a factorization graph, as ``graph.gate_failure`` proves, whose
+    tau is (1 2 ... d), as ``psi`` returns it and ``convert`` provides it.
     """
-    if g.tau.length != g.d or g.tau != standard_cycle(g.d):
-        g = standardize_graph(g)[0]
-
     parent = g._walk(1)  # rooted at the [d]-vertex 1
     svalues = g.svertices
     owner = {1: (0, 1)}  # [d]-value -> (vertex, position) of the node holding it
@@ -120,14 +118,3 @@ def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:
             stack.append((_LABEL, item))
             stack.extend([(_VERTEX, c) for c in kids[:split]])
     return LabeledMNR(m, tuple((node, labels[node]) for node in m.nodes())), ranges
-
-
-def standardize_graph(g: FactorizationGraph) -> tuple[FactorizationGraph, dict[int, int]]:
-    """Relabel the [d]-side so the base cycle becomes (1 2 ... m), m its length."""
-    m = g.tau.length
-    relabel = {x: i + 1 for i, x in enumerate(g.tau.elements)}
-    edges = frozenset((s, relabel[v]) for s, v in g.edges)
-    return (
-        FactorizationGraph(m, g.svertices, edges, standard_cycle(m)),
-        relabel,
-    )

@@ -9,7 +9,9 @@ call in the process.  Every JSON line goes through one compact encoder,
 except the lines of ``enumerate --kind factorization``: it renders the part
 of a line that does not change, ``{"d":...,"tau":[...],"sigmas":``, once
 per call, and each factor once while consecutive lines share it, through
-one ``%`` format per factor length.
+one ``%`` format per factor length.  ``convert`` moves a circle onto
+(1 2 ... m) only in ``_to_standard_circle``, and only for the two folds,
+``fac2mnr`` and ``graph2mnr``; the other directions take any circle.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 from ._json import fields, integers, mapping
-from .bijection import phi_labeled, psi, standardize_graph, unique_labeling
+from .bijection import phi_labeled, psi, unique_labeling
 from .factorization import (
     CapExceededError,
+    Factorization,
     FactorizationType,
     count_by_cycle_index,
     count_factorizations,
@@ -35,7 +38,6 @@ from .factorization import (
     factorization_from_json,
     factorization_to_json,
     first_change,
-    standardize,
 )
 from .graph import (
     FactorizationGraph,
@@ -48,7 +50,7 @@ from .graph import (
     graph_to_dot,
     graph_to_json,
 )
-from .perm import standard_cycle
+from .perm import Cycle, positions, standard_cycle
 from .trees import (
     MultiNodedRootedTree,
     RootedTree,
@@ -292,20 +294,32 @@ def _read(kind: str, data: dict):
     return lm
 
 
+def _to_standard_circle(value):
+    """The factorization or graph moved onto (1 2 ... m), m = |tau|, and the position map."""
+    place = positions(value.tau)
+    m = len(place)
+    if isinstance(value, FactorizationGraph):
+        edges = frozenset((s, place[v]) for s, v in value.edges)
+        return FactorizationGraph(m, value.svertices, edges, standard_cycle(m)), place
+    sigmas = tuple(Cycle(m, tuple(map(place.__getitem__, s.elements))) for s in value.sigmas)
+    return Factorization(value.ftype, standard_cycle(m), sigmas), place
+
+
 def _convert(direction: str, data: dict):
-    """The value read from the data as the direction's source, and its JSON output."""
+    """The value read as the direction's source, moved onto (1 2 ... m) for a fold, and its JSON output."""
     source, target = _DIRECTIONS[direction]
-    read = value = _read(source, data)
-    if direction == "fac2mnr":
-        if genus := value.ftype.genus:
-            raise ValueError(f"a genus-{genus} factorization has no multi-noded tree: only genus 0 folds")
-        value, relabel = standardize(value)
+    value = _read(source, data)
+    if direction == "fac2mnr" and (genus := value.ftype.genus):
+        raise ValueError(f"a genus-{genus} factorization has no multi-noded tree: only genus 0 folds")
+    if direction in ("fac2mnr", "graph2mnr"):
+        value, place = _to_standard_circle(value)
+    out = value
     for arrow in _arrows(source, target):
-        value = arrow(value)
-    out = _KINDS[target][1](value)
-    if direction == "fac2mnr" and any(k != v for k, v in relabel.items()):
-        out["relabeling"] = {str(k): v for k, v in sorted(relabel.items())}
-    return read, out
+        out = arrow(out)
+    out = _KINDS[target][1](out)
+    if direction == "fac2mnr" and any(k != v for k, v in place.items()):
+        out["relabeling"] = {str(k): v for k, v in sorted(place.items())}
+    return value, out
 
 
 def _default_s(value):
@@ -325,14 +339,10 @@ def _default_s(value):
 
 
 def _roundtrip_reference(direction: str, value) -> dict:
-    """The canonical form the inverse conversion must land back on, from the value read."""
+    """The canonical form the inverse conversion must land back on, from the value converted."""
     kind = _DIRECTIONS[_INVERSE_DIRECTION[direction]][1]
     if direction == "mnr2fac":  # read labeled, compared bare
         value = value.mnr
-    elif direction == "fac2mnr":
-        value = standardize(value)[0]
-    elif direction == "graph2mnr":  # phi_labeled relabels tau to (1 2 ... d)
-        value = standardize_graph(value)[0]
     if _DIRECTIONS[direction][1] == "fac":  # a factorization carries no S
         value = _default_s(value)
     return _KINDS[kind][1](value)
@@ -342,8 +352,7 @@ def cmd_convert(args) -> int:
     value, out = _convert(args.direction, _read_json(args))
     _emit(out, sys.stdout)
     if args.roundtrip:
-        _, back = _convert(_INVERSE_DIRECTION[args.direction], dict(out))
-        back.pop("relabeling", None)
+        _, back = _convert(_INVERSE_DIRECTION[args.direction], out)
         reference = _roundtrip_reference(args.direction, value)
         if back != reference:
             key = next(k for k in (*reference, *back) if back.get(k) != reference.get(k))

@@ -700,21 +700,6 @@ def formula_hurwitz_4point(d: int, e) -> int:
     return min(ei * (d + 1 - ei) for ei in e)
 
 
-def standardize(f: Factorization) -> tuple[Factorization, dict[int, int]]:
-    """Conjugate a factorization so its base cycle becomes (1 2 ... d).
-
-    Returns the relabeled factorization and the value map applied to every
-    point.  The map sends the i-th element of tau (reading the canonical
-    form, which starts at 1) to i.
-    """
-    d = f.d
-    relabel = {x: i + 1 for i, x in enumerate(f.tau.elements)}
-    sigmas = tuple(
-        Cycle(d, tuple(relabel[x] for x in s.elements)) for s in f.sigmas
-    )
-    return Factorization(f.ftype, standard_cycle(d), sigmas), relabel
-
-
 def factorization_to_json(f: Factorization) -> dict:
     return {
         "d": f.tau.degree,
@@ -724,7 +709,7 @@ def factorization_to_json(f: Factorization) -> dict:
 
 
 def factorization_from_json(data: dict) -> Factorization:
-    """Read and validate a factorization; ``standardize`` and ``graph_of`` trust it."""
+    """Read and validate a factorization; ``graph_of`` and the ``convert`` boundary trust it."""
     degree, tau, sigmas = fields(data, "d", "tau", "sigmas")
     degree = integer(degree, "d")
     tau = check_cycle(degree, integers(tau, "tau"))

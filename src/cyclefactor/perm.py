@@ -11,8 +11,8 @@ start at their minimum.  ``check_cycle`` proves elements read from outside;
 the functions here build cycles from cycles already proved and trust them.
 
 A cycle is also a circle, its elements laid out clockwise in cycle order:
-``clockwise_reading`` reads values in their order round it, and the circle
-predicates and ``split_circle_product`` are plain code on ``Cycle.elements``.
+``positions`` numbers its points and ``clockwise_reading`` reads values round
+it; the circle predicates and ``split_circle_product`` are plain code on it.
 """
 
 from __future__ import annotations
@@ -166,6 +166,11 @@ def cycles_of(images, points=None) -> list[tuple[int, ...]]:
 def standard_cycle(d: int) -> Cycle:
     """The d-cycle (1 2 ... d)."""
     return Cycle(d, tuple(range(1, d + 1)))
+
+
+def positions(circle: Cycle) -> dict[int, int]:
+    """Each point of the circle, whatever its degree, to its place 1, 2, ... clockwise from the minimum."""
+    return {x: i for i, x in enumerate(circle.elements, start=1)}
 
 
 def clockwise_reading(circle: Cycle, values) -> Cycle:

@@ -8,9 +8,9 @@ import pytest
 from cyclefactor.bijection import (
     phi_labeled,
     psi,
-    standardize_graph,
     unique_labeling,
 )
+from cyclefactor.cli import _to_standard_circle
 from cyclefactor.factorization import (
     Factorization,
     FactorizationType,
@@ -135,13 +135,15 @@ class TestPhiLabeled:
         assert_gate_rejects(three, "not a tree")
 
     def test_nonstandard_tau_is_relabeled(self):
+        # convert moves a graph onto (1 2 ... d) before the fold, which trusts it
         tau = Cycle(4, (1, 3, 2, 4))
         f = next(iter(enumerate_factorizations(4, tau, (2, 2, 2))))
         g = graph_of(f)
-        lm = phi_labeled(g)
-        std, relabel = standardize_graph(g)
-        assert lm == phi_labeled(std)
-        assert relabel[1] == 1
+        std, place = _to_standard_circle(g)
+        assert (std.d, std.tau, std.svertices) == (4, standard_cycle(4), g.svertices)
+        assert gate_failure(std) is None
+        assert place == {1: 1, 3: 2, 2: 3, 4: 4}
+        assert phi_labeled(std) == phi_labeled(graph_of(_to_standard_circle(f)[0]))
 
     def test_psi_inverts_exhaustive(self):
         for d in range(2, 7):

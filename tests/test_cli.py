@@ -18,7 +18,7 @@ from cyclefactor import cli, factorization, graph
 from cyclefactor import worked_example as we
 from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.cli import main
-from cyclefactor.factorization import enumerate_factorizations, factorization_to_json
+from cyclefactor.factorization import enumerate_factorizations, factor_tuples, factorization_to_json
 from cyclefactor.graph import factorization_of, graph_of, graph_to_json
 from cyclefactor.perm import standard_cycle
 from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_from_json, mnr_to_json
@@ -77,6 +77,12 @@ NOT_FACTORIZATIONS = [
 # at d <= 6, both kinds, in the order of stream_digest; computed before the
 # line writer rendered the constant head of a factorization once per call
 ENUMERATE_DIGEST_D6 = "eef0b51b63019c3c0971cee7e4eb06754cdcf72dddfb3d5dad7284e4e229577e"
+
+# SHA-256 of `convert` exit code, stdout and stderr in four directions, once
+# and with --roundtrip, over the inputs of off_circle_inputs, in its order;
+# read before the circle was moved onto (1 2 ... m) at one place, the
+# boundary of convert
+CONVERT_DIGEST_OFF_CIRCLE = "b7575eb47b2905f3b35d1f0887dd2117b154196e93656c287b6e94b5b1edd57f"
 
 # (d, type) pairs whose numbers run to two digits, compared line by line
 # with the library stream; the last is genus 1
@@ -305,6 +311,37 @@ def stream_digest(capsys, max_d):
                 argv = ("enumerate", "--kind", kind, "--d", str(d), "--e", ",".join(map(str, e)))
                 code, out, err = run(capsys, *argv)
                 h.update(f"{out}{err}exit {code}\n".encode())
+    return h.hexdigest()
+
+
+def off_circle_inputs():
+    """(factorization, graph) JSON of every genus-0 factorization at 2 <= d <= 4
+    on (1 2 ... d), on two seeded shuffled d-cycles and on two seeded
+    sub-circles of degree d + 2; each graph has seeded S-vertices of its own."""
+    rng = random.Random("convert-off-circle")
+    for d in range(2, 5):
+        circles = [(d, list(range(1, d + 1)))]
+        circles += [(n, rng.sample(range(1, n + 1), d)) for n in (d, d, d + 2, d + 2)]
+        for n, tau in circles:
+            pool = [*range(-9, 0), *range(n + 1, n + 10)]
+            for e in genus0_types(d):
+                for elems in factor_tuples(d, standard_cycle(d), e):
+                    sigmas = [[tau[x - 1] for x in c] for c in elems]
+                    s = sorted(rng.sample(pool, len(e)))  # the j-th S-vertex holds sigma_j
+                    edges = [[sj, x] for sj, c in zip(s, sigmas) for x in c]
+                    rng.shuffle(edges)
+                    fac = json.dumps({"d": n, "tau": tau, "sigmas": sigmas})
+                    yield fac, json.dumps({"d": n, "S": s, "edges": edges, "tau": tau})
+
+
+def convert_digest(capsys, monkeypatch):
+    h = hashlib.sha256()
+    for fac, g in off_circle_inputs():
+        for direction, stdin in (("fac2mnr", fac), ("fac2graph", fac), ("graph2mnr", g), ("graph2fac", g)):
+            for extra in ((), ("--roundtrip",)):
+                code, out, err = run(capsys, "convert", "--direction", direction, *extra,
+                                     stdin=stdin, monkeypatch=monkeypatch)
+                h.update(f"{direction}{extra} exit {code}\n{out}{err}".encode())
     return h.hexdigest()
 
 
@@ -716,6 +753,10 @@ class TestConvert:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "unique labeling" in err
+
+    def test_off_circle_bytes_pinned(self, capsys, monkeypatch):
+        # every genus-0 factorization at d <= 4, and its graph, on five circles each
+        assert convert_digest(capsys, monkeypatch) == CONVERT_DIGEST_OFF_CIRCLE
 
     def test_input_file_is_closed(self, capsys):
         with warnings.catch_warnings(record=True) as caught:

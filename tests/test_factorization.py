@@ -20,10 +20,9 @@ from cyclefactor.factorization import (
     formula_hurwitz_simple,
     hurwitz_count_bruteforce,
     pure_cycle_datum,
-    standardize,
     validate,
 )
-from cyclefactor.perm import Cycle, CycleType, pure_cycle_type, standard_cycle
+from cyclefactor.perm import Cycle, CycleType, positions, pure_cycle_type, standard_cycle
 from cyclefactor.worked_example import factorization as worked_factorization
 
 
@@ -296,8 +295,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("e", [(2, 50, 50), (50, 51)])
     def test_closed_form_last_level_at_d_100(self, e):
         # the last two factors of a one-cycle target come in closed form; a shuffled
-        # tau is the same walk relabeled, so standardized back it must give the
-        # same stream in the same order, with the same stats
+        # tau is the same walk relabeled, so it must give the standard stream with
+        # point i renamed tau[i - 1], in the same order, with the same stats
         from cyclefactor.factorization import factor_tuples
 
         d = 100
@@ -310,10 +309,11 @@ class TestEnumeration:
         assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + len(got)
         rest = list(range(2, d + 1))
         random.Random(d).shuffle(rest)
+        at = (None, 1, *rest)
+        expected = [tuple(Cycle(d, tuple(at[x] for x in c)).elements for c in f) for f in got]
         shuffled_stats = {}
         fs = enumerate_factorizations(d, Cycle(d, (1, *rest)), e, shuffled_stats)
-        relabeled = [tuple(s.elements for s in standardize(f)[0].sigmas) for f in fs]
-        assert relabeled == got
+        assert [tuple(s.elements for s in f.sigmas) for f in fs] == expected
         assert shuffled_stats == stats
 
     def test_first_transposition_factorization_at_d_1100(self):
@@ -502,12 +502,17 @@ class TestJsonAndStandardize:
         assert factorization_from_json(factorization_to_json(f)) == f
 
     def test_standardize_conjugates(self):
+        # convert carries a factorization onto (1 2 ... m) by the position map of tau
+        from cyclefactor.cli import _to_standard_circle
+
         tau = Cycle(4, (1, 3, 2, 4))
-        f = None
-        for cand in enumerate_factorizations(4, tau, (2, 2, 2)):
-            f = cand
-            break
-        std, relabel = standardize(f)
+        f = next(iter(enumerate_factorizations(4, tau, (2, 2, 2))))
+        std, place = _to_standard_circle(f)
         assert std.tau == standard_cycle(4)
         assert validate(std)
-        assert relabel[1] == 1 and sorted(relabel.values()) == [1, 2, 3, 4]
+        assert place == positions(tau) == {1: 1, 3: 2, 2: 3, 4: 4}
+        # a sub-circle of a larger degree lands on its own length, on a map of its points only
+        sub = Cycle(10**15, (7, 2, 5))
+        std, place = _to_standard_circle(Factorization(FactorizationType(3, (3,)), sub, (sub,)))
+        assert (std.tau, std.sigmas) == (standard_cycle(3), (standard_cycle(3),))
+        assert place == {2: 1, 5: 2, 7: 3}
