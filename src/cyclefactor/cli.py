@@ -6,19 +6,24 @@ closes stdout early (``| head``) ends the command quietly with exit 0.
 
 The parser is built on the first ``main`` call and reused by every later
 call in the process.  Every JSON line goes through one compact encoder,
-except the lines of ``enumerate --kind factorization``: it renders the part
-of a line that does not change, ``{"d":...,"tau":[...],"sigmas":``, once
-per call, and each factor once while consecutive lines share it, through
-one ``%`` format per factor length.  ``convert`` moves a circle onto
-(1 2 ... m) only in ``_to_standard_circle``, and only for the two folds,
-``fac2mnr`` and ``graph2mnr``; the other directions take any circle.
+except the lines of ``enumerate --kind factorization``, which reads the
+search one batch per last-level node (``factor_batches``): it renders the
+part of a line that does not change, ``{"d":...,"tau":[...],"sigmas":``,
+once per call, each factor above the node once while consecutive batches
+share it, through one ``%`` format per factor length, and then each of the
+node's lines through one ``%`` format for its last two factors.
+``convert`` moves a circle onto (1 2 ... m) only in
+``_to_standard_circle``, and only for the two folds, ``fac2mnr`` and
+``graph2mnr``; the other directions take any circle.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -34,7 +39,7 @@ from .factorization import (
     count_by_cycle_index,
     count_factorizations,
     enumerate_factorizations,
-    factor_tuples,
+    factor_batches,
     factorization_from_json,
     factorization_to_json,
     first_change,
@@ -79,7 +84,7 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(","))  # int("") refuses an empty item
     except ValueError:
         raise ValueError(
             f"{flag} must be comma-separated integers such as 2,2,3, got {text!r}"
@@ -145,6 +150,9 @@ def cmd_count(args) -> int:
         return 0
     e = _parse_int_list(args.e, "--e")
     d = args.d
+    if args.method == "all" and (genus := FactorizationType(d, e).genus):
+        # refused before the search, which the formula would refuse after it
+        raise ValueError(f"--method all compares with the formula, which requires genus 0, got genus {genus}")
     methods = ["bruteforce", "formula", "bijection"] if args.method == "all" else [args.method]
     stats: dict = {}
 
@@ -183,7 +191,7 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     """Stream JSON lines, then ``count: N`` (and the --stats line) on stderr.
 
-    A factorization line is written from ``factor_tuples``, with no record built.
+    A factorization line is written from ``factor_batches``, with no record built.
     """
     count = 0
     stats: dict = {}
@@ -196,18 +204,27 @@ def cmd_enumerate(args) -> int:
         FactorizationType(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
         if args.kind == "factorization":
-            # factorization_to_json(f), with its fixed d and tau rendered once;
-            # each factor is rendered once while its tuple lasts, by one format per length
+            # factorization_to_json(f), with its fixed d and tau rendered once; each
+            # prefix factor is rendered once while its tuple lasts, by one format per
+            # length, and each tail through the batch's one format for its line
             formats = {n: ",".join(["%d"] * n) for n in e}
             head = f'{{"d":{args.d},"tau":{_encode(tau.elements)},"sigmas":[['
+            tail = "],[".join(formats[n] for n in e[-2:]) + "]]}\n"
+            # the values of a tail's format: its two factors joined (one factor of one-factor types)
+            if len(e) > 1:
+                values = functools.partial(itertools.starmap, operator.add)
+            else:
+                values = functools.partial(map, operator.itemgetter(0))
             write = sys.stdout.write
             previous, parts = (), []
-            for elems in factor_tuples(args.d, tau, e, stats):
-                i = first_change(previous, elems)
-                parts[i:] = [formats[len(x)] % x for x in elems[i:]]
-                previous = elems
-                write(head + "],[".join(parts) + "]]}\n")
-                count += 1
+            for prefix, tails in factor_batches(args.d, e, stats):
+                i = first_change(previous, prefix)
+                parts[i:] = [formats[len(x)] % x + "],[" for x in prefix[i:]]
+                previous = prefix
+                line = head + "".join(parts) + tail  # a % format: the rendered parts hold no %
+                for v in values(tails):
+                    write(line % v)
+                    count += 1
         else:
             for f in enumerate_factorizations(args.d, tau, e, stats):
                 _emit(graph_to_json(graph_of(f)), sys.stdout)

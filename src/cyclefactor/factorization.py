@@ -28,6 +28,11 @@ positions round tau.  Two searches produce the stream on (1 2 ... d):
   from the stream), and serves as the genus-0 walker's oracle in ``verify``
   and the tests.
 
+Both yield one batch per node with two factors left: the factors above the
+node, then the node's solved (sigma, last factor) pairs.  ``factor_batches``
+is that stream; a count reads only the pairs, ``enumerate`` renders a
+prefix once per batch, and ``factor_tuples`` flattens it into outputs.
+
 The search core reads cycles through the one cycle walker, ``perm.cycles_of``.
 ``validate`` checks a given factorization in O(|tau| + sum(e_i)): each
 factor changes the running product only on its own support.
@@ -190,17 +195,24 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     choosing it turns the target into sigma^{-1} * target.  A branch is cut
     when the target is further from the identity, in Cayley distance, than
     ``budgets[k]``, the index the remaining factors can add up to.  After the
-    last table, ``leaf(target)`` returns the solved last entry or None; the
-    search yields (*keys, entry) for every entry that is not None.
+    last table, ``leaf(target)`` returns the solved last entry or None.
+
+    The search yields one batch (prefix, found) per last-level visit that
+    has a solution: ``prefix`` is the tuple of keys chosen above it, and
+    ``found`` the visit's (key, entry) pairs, so every ``prefix + pair`` is
+    one output, (*keys, entry).  With no table the one batch is ((),
+    ((entry,),)).
 
     Each node keeps, in place of its target, one ``itemgetter`` over the
     target's points (``_gather``), built when the node is pushed, so every
     child costs one C-level call on the chosen factor's inverse images.
     The pairs (key, entry) of the last two factors depend only on the target
     the last table starts from, so they are solved once per distinct target
-    and kept for this call.  Nodes wait on an explicit stack.  ``stats``
-    counts the nodes entered (the root and every stacked child), the
-    distinct targets solved and the reuses of a solved target.
+    and kept for this call; a batch holds that memo's own tuple, so a caller
+    counts a visit by its length and builds no output.  Nodes wait on an
+    explicit stack.  ``stats`` counts the nodes entered (the root and every
+    stacked child), the distinct targets solved and the reuses of a solved
+    target.
     """
     stats = {} if stats is None else stats
     stats.update(nodes=1, targets=0, reuses=0)
@@ -208,7 +220,7 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     if last < 0:
         hit = leaf(target)
         if hit is not None:
-            yield (hit,)
+            yield (), ((hit,),)
         return
     solved: dict = {}
 
@@ -227,7 +239,8 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
         return found
 
     if not last:
-        yield from solve(target)
+        if found := solve(target):
+            yield (), found
         return
     if far(target, 0):
         return
@@ -246,8 +259,8 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
                     found = solve(child)
                 else:
                     reuses += 1
-                for pair in found:
-                    yield (*out, *pair)
+                if found:
+                    yield tuple(out), found
             stats["reuses"] += reuses
             stack.pop()
         else:
@@ -262,13 +275,24 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
                 stack.pop()
 
 
-def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
-    """The `_search` stream for any genus; tau and e are already validated."""
+def _cayley_batches(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
+    """The `_search` batches for any genus; tau and e are already validated."""
     target = tau.images()
     # remaining Cayley-distance budget before sigma_{k+1} is chosen
     budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
     by_length = {ei: _cycle_tables(d, ei) for ei in set(e[:-1])}
     return _search(target, [by_length[ei] for ei in e[:-1]], budgets, _single_cycle(e[-1]), stats)
+
+
+def _flatten(batches):
+    """One output ``prefix + tail`` per tail of each batch, in order."""
+    for prefix, tails in batches:
+        yield from map(prefix.__add__, tails)
+
+
+def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
+    """The `_search` outputs one by one: the oracle the walker is checked against."""
+    return _flatten(_cayley_batches(d, tau, e, stats))
 
 
 def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
@@ -303,7 +327,12 @@ def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
 
 
 def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
-    """Yield the factor-element tuples of a genus-0 type of (1 2 ... d), in lexicographic order.
+    """Yield the factorizations of a genus-0 type of (1 2 ... d) in batches, in lexicographic order.
+
+    A batch is (prefix, completions): ``prefix`` is the tuple of factors
+    chosen above a node with two factors left, and ``completions`` a lazy
+    iterator of that node's (sigma, last factor) pairs, so every ``prefix +
+    pair`` is one output.  With one factor the one batch is ((), ((c,),)).
 
     A node holds the nontrivial cycles of the remaining target.  In genus 0
     sigma_{k+1} lies below the target in absolute order: its support is an
@@ -334,18 +363,18 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     target is two cycles, each factor is one of them whole (a cycle has one
     minimal factorization into itself), so sigma is each cycle of length
     e_{r-2} in turn, by minimum, and the other cycle is the last factor.
-    The main loop adds each pair to the prefix of factors above it, so
-    outputs share those leading tuples.
+    Consecutive prefixes share their leading tuples as the same objects.
 
     ``stats`` counts the nodes entered, the candidates tested and the dead
-    ends among them (candidates whose child fails the packing).  A node in
-    closed form counts as the search would count it: one node, and one
-    candidate per completion, none of them a dead end (on two cycles the
-    arc tests refuse every cut of the longer cycle).
+    ends among them (candidates whose child fails the packing), as the
+    batches are read.  A node in closed form counts as the search would
+    count it: one node, and one candidate per completion, none of them a
+    dead end (on two cycles the arc tests refuse every cut of the longer
+    cycle).
     """
     last = len(e) - 1
     if not last:
-        yield (tuple(range(1, d + 1)),)
+        yield (), ((tuple(range(1, d + 1)),),)
         return
     # bit a of viable[k] is set iff a - 1 is the sum of some (e_i - 1), i > k
     viable = [0] * last
@@ -440,22 +469,23 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
                 j = s + b - n
                 yield c[j : s + 1], c[:j] + c[s:]
 
-    def node(cycles, k):
-        return completions(cycles) if k + 1 == last else children(cycles, k)
-
-    out = [None] * (last - 1)
     # the root is a view, so the arcs sliced from it share its memory: a chain
     # of d cuts would otherwise copy d^2 / 2 elements
-    stack = [node([memoryview(typed_array("q", range(1, d + 1)))], 0)]
+    root = [memoryview(typed_array("q", range(1, d + 1)))]
+    if last == 1:
+        yield (), completions(root)
+        return
+    out = [None] * (last - 1)
+    stack = [children(root, 0)]
     while stack:
         k = len(stack) - 1
-        if k + 1 == last:  # each (sigma, last factor) pair completes the prefix
-            yield from map(tuple(out).__add__, stack.pop())
-            continue
         for sigma, child in stack[-1]:
             out[k] = sigma
-            stack.append(node(child, k + 1))
-            break
+            if k + 2 == last:  # the child has two factors left: one batch
+                yield tuple(out), completions(child)
+            else:
+                stack.append(children(child, k + 1))
+                break
         else:
             stack.pop()
 
@@ -480,36 +510,46 @@ def _relabel(stream, tau: tuple[int, ...]):
         yield tuple(out)
 
 
+def factor_batches(d: int, e, stats: dict | None = None):
+    """Stream every factorization of (1 2 ... d) with lengths e, one batch per last-level node.
+
+    A batch is (prefix, tails), and each ``prefix + tail`` is one output of
+    ``factor_tuples``.  The tails are the walker's lazy completions (genus
+    0), with its nodes, candidates and dead ends counted into ``stats`` as
+    they are read, or the search core's solved tuple, with its nodes,
+    targets and reuses.
+    """
+    e = tuple(e)
+    if FactorizationType(d, e).genus == 0:  # validates lengths and genus
+        stats = {} if stats is None else stats
+        stats.update(nodes=0, candidates=0, dead_ends=0)
+        return _walk_genus0(d, e, stats)
+    return _cayley_batches(d, standard_cycle(d), e, stats)
+
+
 def factor_tuples(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Stream every factorization of tau with lengths e as its factors' element tuples.
 
-    Each factor is its canonical min-first tuple, and an output shares its
-    leading tuples (the same objects) with the one before.  The walk (genus
-    0) or the search core runs on (1 2 ... d), in lexicographic order of the
-    factor sequences; ``_relabel`` carries that stream onto any other tau,
-    so a stream is in lexicographic order of its factors read as positions
-    round tau.  Into ``stats`` go the walker's nodes, candidates and dead
-    ends (genus 0) or the search core's nodes, targets and reuses.
+    The ``factor_batches`` outputs one by one, with its ``stats``.  Each
+    factor is its canonical min-first tuple, and an output shares its
+    leading tuples (the same objects) with the one before.  The stream of
+    (1 2 ... d) is in lexicographic order of the factor sequences;
+    ``_relabel`` carries it onto any other tau, so a stream is in
+    lexicographic order of its factors read as positions round tau.
     """
-    e = tuple(e)
-    ftype = FactorizationType(d, e)  # validates lengths and genus
+    batches = factor_batches(d, e, stats)  # validates the type before tau
     if tau.degree != d or tau.length != d:
         raise ValueError(f"tau must be a {d}-cycle of degree {d}")
-    standard = standard_cycle(d)
-    if ftype.genus == 0:
-        stats = {} if stats is None else stats
-        stats.update(nodes=0, candidates=0, dead_ends=0)
-        stream = _walk_genus0(d, e, stats)
-    else:
-        stream = _cayley_stream(d, standard, e, stats)
-    return stream if tau == standard else _relabel(stream, tau.elements)
+    stream = _flatten(batches)
+    return stream if tau == standard_cycle(d) else _relabel(stream, tau.elements)
 
 
 def first_change(previous: tuple, elems: tuple) -> int:
     """The first position where ``factor_tuples`` output ``elems`` differs from ``previous``.
 
-    Consecutive outputs share their leading tuples as the same objects, so a
-    caller keeps whatever it derived from the factors before that position.
+    Consecutive outputs (and consecutive ``factor_batches`` prefixes) share
+    their leading tuples as the same objects, so a caller keeps whatever it
+    derived from the factors before that position.
     """
     i = 0
     while i < len(previous) and elems[i] is previous[i]:
@@ -544,8 +584,10 @@ def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | No
     """Count factorizations of a d-cycle with factor lengths e.
 
     method:
-      * ``bruteforce`` counts the enumeration stream (any genus), and in
-        genus 0 counts the walk into ``stats`` as ``factor_tuples`` does;
+      * ``bruteforce`` counts the batches of ``factor_batches`` (any genus),
+        with its ``stats``, and builds no output: in positive genus it sums
+        the lengths of the solved tuples, in genus 0 it reads each node's
+        completions;
       * ``formula`` returns d^(r-2), valid only in genus 0;
       * ``bijection`` routes through the tree-family cardinality that the
         encoding maps factorizations onto, also genus 0 only.
@@ -553,7 +595,10 @@ def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | No
     e = tuple(e)
     ftype = FactorizationType(d, e)
     if method == "bruteforce":
-        return sum(1 for _ in factor_tuples(d, standard_cycle(d), e, stats))
+        batches = factor_batches(d, e, stats)
+        if ftype.genus:
+            return sum(len(found) for _, found in batches)
+        return sum(1 for _, tails in batches for _ in tails)
     if ftype.genus != 0:
         raise ValueError(f"method {method!r} requires genus 0, got genus {ftype.genus}")
     if method == "formula":
@@ -658,7 +703,8 @@ def hurwitz_count_bruteforce(h: HurwitzDatum) -> Fraction:
     def leaf(target):
         return target if type_of(target) == last_type else None
 
-    count = sum(1 for fs in _search(tuple(range(1, d + 1)), tables, budgets, leaf) if _transitive(fs, d))
+    batches = _search(tuple(range(1, d + 1)), tables, budgets, leaf)
+    count = sum(1 for prefix, found in batches for pair in found if _transitive(prefix + pair, d))
     return Fraction(count, factorial(d))
 
 

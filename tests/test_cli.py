@@ -514,6 +514,16 @@ class TestCount:
         assert (stats["nodes"], stats["targets"], stats["outputs"]) == (1111, 60, 15625)
         assert stats["targets"] + stats["reuses"] == 10000
 
+    def test_all_methods_refuse_positive_genus_before_searching(self, capsys, monkeypatch):
+        # the formula only holds in genus 0, so --method all stops before the brute-force search
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli, "count_factorizations", no_search)
+        code, out, err = run(capsys, "count", "--d", "7", "--e", "2,2,2,2,2,2,2,2", "--method", "all")
+        assert (code, out) == (2, "")
+        assert err == "error: --method all compares with the formula, which requires genus 0, got genus 1\n"
+
     def test_stats_with_all_methods(self, capsys):
         code, out, err = run(capsys, "count", "--d", "4", "--e", "2,2,2", "--method", "all", "--hurwitz", "--stats")
         assert (code, out, json.loads(err)["outputs"]) == (0, "4\n4\n4\nMATCH\n", 16)
@@ -530,8 +540,13 @@ class TestCount:
             (("count", "--d", "5", "--e", "2,x"), "--e", "2,x"),
             (("enumerate", "--kind", "mnr", "--vertex-data", "1,a"), "--vertex-data", "1,a"),
             (("enumerate", "--kind", "mnr", "--vertex-data", "1,1", "--s", "3;4"), "--s", "3;4"),
+            # an empty item is refused, not dropped
+            (("enumerate", "--kind", "factorization", "--d", "6", "--e", "2,,5"), "--e", "2,,5"),
+            (("enumerate", "--kind", "factorization", "--d", "6", "--e", "2,5,"), "--e", "2,5,"),
+            (("enumerate", "--kind", "mnr", "--vertex-data", "1,,2"), "--vertex-data", "1,,2"),
+            (("enumerate", "--kind", "mnr", "--vertex-data", "1,1,1", "--s", "5,,6"), "--s", "5,,6"),
         ],
-        ids=["e", "vertex-data", "s"],
+        ids=["e", "vertex-data", "s", "e-empty-item", "e-trailing-comma", "vertex-data-empty-item", "s-empty-item"],
     )
     def test_bad_integer_list_names_flag(self, capsys, argv, flag, text):
         code, out, err = run(capsys, *argv)

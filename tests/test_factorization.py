@@ -164,7 +164,8 @@ class TestEnumeration:
             tables.append([(sigma.elements, tuple(inv))])
         budgets = [sum(ei - 1 for ei in e[k:]) for k in range(len(e))]
         start = standard_cycle(20).images()
-        got = list(_search(start, tables, budgets, _single_cycle(e[-1])))
+        batches = _search(start, tables, budgets, _single_cycle(e[-1]))
+        got = [prefix + pair for prefix, found in batches for pair in found]
         assert got == [tuple(s.elements for s in target.sigmas)]
 
     def test_search_has_no_depth_limit(self):
@@ -180,7 +181,8 @@ class TestEnumeration:
             inv[a - 1], inv[b - 1] = b, a
             tables.append([((a, b), tuple(inv))])
         start = standard_cycle(d).images()
-        got = list(_search(start, tables, list(range(d - 1, 0, -1)), _single_cycle(2)))
+        batches = _search(start, tables, list(range(d - 1, 0, -1)), _single_cycle(2))
+        got = [prefix + pair for prefix, found in batches for pair in found]
         assert got == [tuple(path)]
 
     def test_stream_validates_and_is_duplicate_free(self):
@@ -275,6 +277,34 @@ class TestEnumeration:
         assert all(validate(f) for f in fs)
         keys = [tuple(s.elements for s in f.sigmas) for f in fs]
         assert keys == sorted(keys)
+
+    def test_batches_flatten_to_the_stream_and_count_it(self):
+        # every type of genus <= 1 at d <= 5 and every genus-0 type at d = 6 and 7: the
+        # batches flattened are the stream, sharing exactly the factors before the first
+        # one that changed, and the count reads them with the stream's stats
+        from cyclefactor.factorization import factor_batches, factor_tuples, first_change
+        from cyclefactor.verify import compositions
+
+        cases = [
+            (d, tuple(c + 1 for c in comp))
+            for d in range(2, 6)
+            for genus in (0, 1)
+            for comp in compositions(d - 1 + 2 * genus)
+            if max(comp) < d
+        ]
+        cases += [(d, e) for d in (6, 7) for e in genus0_types(d)]
+        assert len(cases) == 111
+        for d, e in cases:
+            batch_stats, stream_stats, count_stats = {}, {}, {}
+            flat = [prefix + tail for prefix, tails in factor_batches(d, e, batch_stats) for tail in tails]
+            stream = list(factor_tuples(d, standard_cycle(d), e, stream_stats))
+            assert flat == stream, (d, e)
+            for outs in flat, stream:
+                for previous, elems in zip(outs, outs[1:]):
+                    i = first_change(previous, elems)
+                    assert i < len(elems) and elems[:i] == previous[:i] and elems[i] != previous[i], (d, e)
+            assert count_factorizations(d, e, "bruteforce", count_stats) == len(stream) > 0, (d, e)
+            assert batch_stats == stream_stats == count_stats, (d, e)
 
     def test_first_change_goes_by_identity(self):
         from cyclefactor.factorization import factor_tuples, first_change
