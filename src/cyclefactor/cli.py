@@ -11,7 +11,8 @@ search one batch per last-level node (``factor_batches``): it renders the
 part of a line that does not change, ``{"d":...,"tau":[...],"sigmas":``,
 once per call, each factor above the node once while consecutive batches
 share it, through one ``%`` format per factor length, and then each of the
-node's lines through one ``%`` format for its last two factors.
+node's lines through one ``%`` format for its last two factors.  ``--kind
+graph`` reads ``enumerate_factorizations``, records over the same batches.
 ``convert`` moves a circle onto (1 2 ... m) only in
 ``_to_standard_circle``, and only for the two folds, ``fac2mnr`` and
 ``graph2mnr``; the other directions take any circle.

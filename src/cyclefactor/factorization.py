@@ -30,8 +30,9 @@ positions round tau.  Two searches produce the stream on (1 2 ... d):
 
 Both yield one batch per node with two factors left: the factors above the
 node, then the node's solved (sigma, last factor) pairs.  ``factor_batches``
-is that stream; a count reads only the pairs, ``enumerate`` renders a
-prefix once per batch, and ``factor_tuples`` flattens it into outputs.
+is that stream, the only one: a count reads only the pairs, ``enumerate``
+renders a prefix once per batch, and ``enumerate_factorizations`` wraps it
+into records on tau, each prefix factor once per batch.
 
 The search core reads cycles through the one cycle walker, ``perm.cycles_of``.
 ``validate`` checks a given factorization in O(|tau| + sum(e_i)): each
@@ -41,6 +42,7 @@ All counts are exact integers; Hurwitz numbers are exact rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from array import array as typed_array
 from dataclasses import dataclass
@@ -284,15 +286,9 @@ def _cayley_batches(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None =
     return _search(target, [by_length[ei] for ei in e[:-1]], budgets, _single_cycle(e[-1]), stats)
 
 
-def _flatten(batches):
-    """One output ``prefix + tail`` per tail of each batch, in order."""
-    for prefix, tails in batches:
-        yield from map(prefix.__add__, tails)
-
-
 def _cayley_stream(d: int, tau: Cycle, e: tuple[int, ...], stats: dict | None = None):
     """The `_search` outputs one by one: the oracle the walker is checked against."""
-    return _flatten(_cayley_batches(d, tau, e, stats))
+    return (prefix + pair for prefix, found in _cayley_batches(d, tau, e, stats) for pair in found)
 
 
 def _packs(items: tuple[int, ...], bins: tuple[int, ...]) -> bool:
@@ -490,34 +486,14 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
             stack.pop()
 
 
-def _relabel(stream, tau: tuple[int, ...]):
-    """Carry a stream of (1 2 ... d) onto the circle tau: point i becomes tau[i - 1].
-
-    Each factor is rotated to start at its minimum.  Only the factors from
-    ``first_change`` on are relabeled, so outputs still share their leading
-    tuples.
-    """
-    at = (None, *tau)
-    previous, out = (), []
-    for elems in stream:
-        i = first_change(previous, elems)
-        del out[i:]
-        for x in elems[i:]:
-            y = tuple(map(at.__getitem__, x))
-            j = y.index(min(y))
-            out.append(y[j:] + y[:j])
-        previous = elems
-        yield tuple(out)
-
-
 def factor_batches(d: int, e, stats: dict | None = None):
     """Stream every factorization of (1 2 ... d) with lengths e, one batch per last-level node.
 
-    A batch is (prefix, tails), and each ``prefix + tail`` is one output of
-    ``factor_tuples``.  The tails are the walker's lazy completions (genus
-    0), with its nodes, candidates and dead ends counted into ``stats`` as
-    they are read, or the search core's solved tuple, with its nodes,
-    targets and reuses.
+    A batch is (prefix, tails); each ``prefix + tail`` is one output, as
+    min-first tuples, and consecutive prefixes share their leading tuples.
+    The tails are the walker's lazy completions (genus 0), with its nodes,
+    candidates and dead ends counted into ``stats`` as they are read, or the
+    search core's solved tuple, with its nodes, targets and reuses.
     """
     e = tuple(e)
     if FactorizationType(d, e).genus == 0:  # validates lengths and genus
@@ -527,29 +503,12 @@ def factor_batches(d: int, e, stats: dict | None = None):
     return _cayley_batches(d, standard_cycle(d), e, stats)
 
 
-def factor_tuples(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Stream every factorization of tau with lengths e as its factors' element tuples.
-
-    The ``factor_batches`` outputs one by one, with its ``stats``.  Each
-    factor is its canonical min-first tuple, and an output shares its
-    leading tuples (the same objects) with the one before.  The stream of
-    (1 2 ... d) is in lexicographic order of the factor sequences;
-    ``_relabel`` carries it onto any other tau, so a stream is in
-    lexicographic order of its factors read as positions round tau.
-    """
-    batches = factor_batches(d, e, stats)  # validates the type before tau
-    if tau.degree != d or tau.length != d:
-        raise ValueError(f"tau must be a {d}-cycle of degree {d}")
-    stream = _flatten(batches)
-    return stream if tau == standard_cycle(d) else _relabel(stream, tau.elements)
-
-
 def first_change(previous: tuple, elems: tuple) -> int:
-    """The first position where ``factor_tuples`` output ``elems`` differs from ``previous``.
+    """The first position where the ``factor_batches`` prefix ``elems`` differs from ``previous``.
 
-    Consecutive outputs (and consecutive ``factor_batches`` prefixes) share
-    their leading tuples as the same objects, so a caller keeps whatever it
-    derived from the factors before that position.
+    Consecutive prefixes share their leading tuples as the same objects, so
+    a caller keeps whatever it derived from the factors before that
+    position.
     """
     i = 0
     while i < len(previous) and elems[i] is previous[i]:
@@ -560,22 +519,31 @@ def first_change(previous: tuple, elems: tuple) -> int:
 def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -> Iterator[Factorization]:
     """Stream every factorization of tau with factor lengths e, exactly once.
 
-    The records of ``factor_tuples``, in its order and with its ``stats``;
-    a caller that only prints or counts the factors reads that stream
-    directly, as ``enumerate --kind factorization`` does.
+    The ``factor_batches`` outputs as records, in order and with its
+    ``stats``; off (1 2 ... d) point i becomes tau[i - 1].  A prefix factor
+    is wrapped once while consecutive prefixes share it, so consecutive
+    records share their leading ``Cycle`` objects.
     """
-    ftype = FactorizationType(d, tuple(e))
-    stream = factor_tuples(d, tau, ftype.e, stats)
+    ftype = FactorizationType(d, tuple(e))  # the type is checked before tau
+    batches = factor_batches(d, ftype.e, stats)
+    if tau.degree != d or tau.length != d:
+        raise ValueError(f"tau must be a {d}-cycle of degree {d}")
+    if tau == standard_cycle(d):
+        wrap = functools.partial(Cycle, d)
+    else:
+        at = (None, *tau.elements)
+
+        def wrap(x):  # the Cycle rotates the relabeled factor to its minimum
+            return Cycle(d, tuple(map(at.__getitem__, x)))
 
     def gen():
-        # both searches emit distinct elements inside supp(tau); only the
-        # factors from the first changed position on are wrapped
-        previous, sigmas = (), []
-        for elems in stream:
-            i = first_change(previous, elems)
-            sigmas[i:] = [Cycle(d, x) for x in elems[i:]]
-            previous = elems
-            yield Factorization(ftype, tau, tuple(sigmas))
+        previous, head = (), []
+        for prefix, tails in batches:
+            i = first_change(previous, prefix)
+            head[i:] = map(wrap, prefix[i:])
+            previous, sigmas = prefix, tuple(head)
+            for tail in tails:
+                yield Factorization(ftype, tau, sigmas + tuple(map(wrap, tail)))
 
     return gen()
 

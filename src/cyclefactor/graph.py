@@ -327,14 +327,16 @@ def graph_from_json(data: dict) -> FactorizationGraph:
     svertices = tuple(sorted(integers(svertices, "S")))
     if any(a == b for a, b in zip(svertices, svertices[1:])):
         raise ValueError("S-vertex values must be strictly increasing")
-    edges = frozenset(pairs(edges, "edges"))
+    listed = sorted(pairs(edges, "edges"))
+    if repeated := [a for a, b in zip(listed, listed[1:]) if a == b]:
+        raise ValueError(f"repeated edge {repeated[0]}")
     tau = check_cycle(d, integers(tau, "tau"))
     check_svertices(d, svertices)
     sset, vset = set(svertices), tau.support
-    for s, v in sorted(edges):
+    for s, v in listed:
         if s not in sset or v not in vset:
             raise ValueError(f"edge ({s}, {v}) is not S-to-[d]")
-    return FactorizationGraph(d, svertices, edges, tau)
+    return FactorizationGraph(d, svertices, frozenset(listed), tau)
 
 
 def graph_to_dot(g: FactorizationGraph) -> str:

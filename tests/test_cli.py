@@ -18,7 +18,7 @@ from cyclefactor import cli, factorization, graph
 from cyclefactor import worked_example as we
 from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.cli import main
-from cyclefactor.factorization import enumerate_factorizations, factor_tuples, factorization_to_json
+from cyclefactor.factorization import enumerate_factorizations, factorization_to_json
 from cyclefactor.graph import factorization_of, graph_of, graph_to_json
 from cyclefactor.perm import standard_cycle
 from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_from_json, mnr_to_json
@@ -200,7 +200,7 @@ BAD_MATRICES = [
 ]
 
 # (id, direction, input, message): one input for every check that the
-# factorization and graph readers run on a cycle or on S, and for their order
+# factorization and graph readers run on a cycle, on S or on the edges, and for their order
 BAD_CYCLES = [
     (
         "repeated-factor-element",
@@ -232,6 +232,12 @@ BAD_CYCLES = [
         "graph2fac",
         '{"d":3,"S":[5,4,5],"edges":[[9,1]],"tau":[1,1]}',
         "S-vertex values must be strictly increasing",
+    ),
+    (
+        "repeated-edge",
+        "graph2fac",
+        '{"d":3,"S":[4],"edges":[[4,1],[4,2],[4,3],[4,3]],"tau":[1,2,3]}',
+        "repeated edge (4, 3)",
     ),
 ]
 
@@ -325,8 +331,8 @@ def off_circle_inputs():
         for n, tau in circles:
             pool = [*range(-9, 0), *range(n + 1, n + 10)]
             for e in genus0_types(d):
-                for elems in factor_tuples(d, standard_cycle(d), e):
-                    sigmas = [[tau[x - 1] for x in c] for c in elems]
+                for f in enumerate_factorizations(d, standard_cycle(d), e):
+                    sigmas = [[tau[x - 1] for x in c.elements] for c in f.sigmas]
                     s = sorted(rng.sample(pool, len(e)))  # the j-th S-vertex holds sigma_j
                     edges = [[sj, x] for sj, c in zip(s, sigmas) for x in c]
                     rng.shuffle(edges)

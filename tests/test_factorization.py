@@ -39,6 +39,11 @@ def genus0_types(d):
         yield tuple(c + 1 for c in comp)
 
 
+def factor_elements(d, tau, e, stats=None):
+    """The element tuples of every ``enumerate_factorizations`` record, in order."""
+    return [tuple(s.elements for s in f.sigmas) for f in enumerate_factorizations(d, tau, e, stats)]
+
+
 def by_position(tau):
     """Sort key of a stream: each factor read as positions round tau, from its minimum."""
     pos = {x: i for i, x in enumerate(tau.elements, 1)}
@@ -201,8 +206,8 @@ class TestEnumeration:
     def test_positive_genus_stream_matches_product_oracle(self):
         # oracle: every tuple of cycles of the given lengths whose product is tau, sorted;
         # every genus-1 type at d <= 4, and those with at most three factors at d = 5.
-        # The search core on tau gives them by value, factor_tuples by position round tau
-        from cyclefactor.factorization import _cayley_stream, factor_tuples
+        # The search core on tau gives them by value, the records by position round tau
+        from cyclefactor.factorization import _cayley_stream
         from cyclefactor.perm import product
         from cyclefactor.verify import compositions
 
@@ -224,14 +229,14 @@ class TestEnumeration:
                         if product([images[ei][c] for ei, c in zip(e, fs)], d) == tau.images()
                     )
                     assert list(_cayley_stream(d, tau, e)) == expected, (d, e, tau)
-                    assert list(factor_tuples(d, tau, e)) == sorted(expected, key=by_position(tau)), (d, e, tau)
+                    assert factor_elements(d, tau, e) == sorted(expected, key=by_position(tau)), (d, e, tau)
                     total += len(expected)
         assert total > 0
 
     def test_genus0_walker_matches_cayley_search(self):
         # oracle: the Cayley-prune search on tau itself, which tries every e-cycle of S_d;
         # the walker runs on (1 2 ... d), so its stream is in order of position round tau
-        from cyclefactor.factorization import _cayley_stream, factor_tuples
+        from cyclefactor.factorization import _cayley_stream
 
         rng = random.Random(3)
         for d in range(2, 8):
@@ -240,7 +245,7 @@ class TestEnumeration:
             for tau in (standard_cycle(d), Cycle(d, (1, *rest))):
                 for e in genus0_types(d):
                     expected = sorted(_cayley_stream(d, tau, e), key=by_position(tau))
-                    assert list(factor_tuples(d, tau, e)) == expected
+                    assert factor_elements(d, tau, e) == expected
 
     def test_emitted_factors_equal_validated_cycles(self):
         for d in range(2, 7):
@@ -250,13 +255,13 @@ class TestEnumeration:
                         assert s == Cycle(d, s.elements)
 
     def test_genus0_walker_nodes_per_output(self):
-        from cyclefactor.factorization import factor_tuples
+        from cyclefactor.factorization import factor_batches
 
         totals = [0, 0, 0]
         for d in range(2, 9):
             for e in genus0_types(d):
                 stats = {}
-                outputs = sum(1 for _ in factor_tuples(d, standard_cycle(d), e, stats))
+                outputs = sum(1 for _, tails in factor_batches(d, e, stats) for _ in tails)
                 assert outputs == d ** (len(e) - 1)
                 assert stats["nodes"] <= 3 * outputs, (d, e, stats, outputs)
                 assert stats["candidates"] < d * outputs, (d, e, stats, outputs)
@@ -280,9 +285,9 @@ class TestEnumeration:
 
     def test_batches_flatten_to_the_stream_and_count_it(self):
         # every type of genus <= 1 at d <= 5 and every genus-0 type at d = 6 and 7: the
-        # batches flattened are the stream, sharing exactly the factors before the first
-        # one that changed, and the count reads them with the stream's stats
-        from cyclefactor.factorization import factor_batches, factor_tuples, first_change
+        # batches flattened are the records, both sharing exactly the factors before the
+        # first one that changed, and the count reads them with the records' stats
+        from cyclefactor.factorization import factor_batches, first_change
         from cyclefactor.verify import compositions
 
         cases = [
@@ -295,43 +300,47 @@ class TestEnumeration:
         cases += [(d, e) for d in (6, 7) for e in genus0_types(d)]
         assert len(cases) == 111
         for d, e in cases:
-            batch_stats, stream_stats, count_stats = {}, {}, {}
+            batch_stats, record_stats, count_stats = {}, {}, {}
             flat = [prefix + tail for prefix, tails in factor_batches(d, e, batch_stats) for tail in tails]
-            stream = list(factor_tuples(d, standard_cycle(d), e, stream_stats))
+            records = [f.sigmas for f in enumerate_factorizations(d, standard_cycle(d), e, record_stats)]
+            stream = [tuple(s.elements for s in sigmas) for sigmas in records]
             assert flat == stream, (d, e)
-            for outs in flat, stream:
+            for outs in flat, records:
                 for previous, elems in zip(outs, outs[1:]):
                     i = first_change(previous, elems)
                     assert i < len(elems) and elems[:i] == previous[:i] and elems[i] != previous[i], (d, e)
             assert count_factorizations(d, e, "bruteforce", count_stats) == len(stream) > 0, (d, e)
-            assert batch_stats == stream_stats == count_stats, (d, e)
+            assert batch_stats == record_stats == count_stats, (d, e)
 
     def test_first_change_goes_by_identity(self):
-        from cyclefactor.factorization import factor_tuples, first_change
+        from cyclefactor.factorization import first_change
 
         a, b = (1, 2), (2, 3)
         assert first_change((), (a, b)) == 0
         assert first_change((a, b), (a, (2, 4))) == 1
         assert first_change((a, b), (a, b)) == 2
         assert first_change((a, b), (tuple([1, 2]), b)) == 0  # equal but not shared
-        # the walker shares every factor before the first one that changed, and so
-        # does its stream relabeled onto another circle
+        # consecutive records share every Cycle before the first factor that changed,
+        # on (1 2 ... d) and relabeled onto another circle
         for tau in (standard_cycle(6), Cycle(6, (1, 4, 2, 6, 3, 5))):
-            outs = list(factor_tuples(6, tau, (2, 3, 2, 2)))
+            outs = [f.sigmas for f in enumerate_factorizations(6, tau, (2, 3, 2, 2))]
+            shared = 0
             for previous, elems in zip(outs, outs[1:]):
                 i = first_change(previous, elems)
                 assert i < len(elems) and elems[i] != previous[i]
+                shared += i
+            assert shared > 0, tau
 
     @pytest.mark.parametrize("e", [(2, 50, 50), (50, 51)])
     def test_closed_form_last_level_at_d_100(self, e):
         # the last two factors of a one-cycle target come in closed form; a shuffled
         # tau is the same walk relabeled, so it must give the standard stream with
         # point i renamed tau[i - 1], in the same order, with the same stats
-        from cyclefactor.factorization import factor_tuples
+        from cyclefactor.factorization import factor_batches
 
         d = 100
         stats = {}
-        got = list(factor_tuples(d, standard_cycle(d), e, stats))
+        got = [prefix + tail for prefix, tails in factor_batches(d, e, stats) for tail in tails]
         assert len(got) == d ** (len(e) - 1)
         assert all(a < b for a, b in zip(got, got[1:]))
         ftype = FactorizationType(d, e)
