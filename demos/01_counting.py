@@ -17,7 +17,6 @@ from cyclefactor import (
     formula_hurwitz_simple,
     hurwitz_count_bruteforce,
     pure_cycle_datum,
-    CycleType,
 )
 
 print("Three routes to the same count")
@@ -43,10 +42,10 @@ print(f"  sum over the {len(orderings)} orderings: {total}")
 print()
 print("Branched-cover normalization: divide by d")
 for d, e in [(4, (2, 2, 2)), (5, (2, 2, 3))]:
-    h = hurwitz_count_bruteforce(pure_cycle_datum(d, e + (d,)))
+    h = hurwitz_count_bruteforce(pure_cycle_datum(e + (d,)))
     print(f"  d={d} e={e + (d,)}: cover count {h} = {Fraction(count_factorizations(d, e), d)}")
 
 print()
 print("Classical formulas recovered as special cases")
-print(f"  four branch points, d=5, (2,2,3,5): min e(d+1-e) = {formula_hurwitz_4point(5, (2, 2, 3, 5))}")
-print(f"  simple branch points, full cycle, d=6: {formula_hurwitz_simple(6, 6, CycleType((6,)))} = 6^3")
+print(f"  four branch points, d=5, (2,2,3,5): min e(d+1-e) = {formula_hurwitz_4point((2, 2, 3, 5))}")
+print(f"  simple branch points, full cycle, d=6: {formula_hurwitz_simple((6,))} = 6^3")

@@ -8,7 +8,6 @@ tree and a 2xn codec matrix, with every step invertible.
 
 from .perm import (
     Cycle,
-    CycleType,
     NotMaximal,
     check_cycle,
     clockwise_reading,

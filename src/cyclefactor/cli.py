@@ -94,11 +94,17 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 def _parse_cycle_index(text: str) -> dict[int, int]:
     try:
-        return {int(m): int(nm) for m, nm in (item.split(":") for item in text.split(","))}
+        pairs = [(int(m), int(nm)) for m, nm in (item.split(":") for item in text.split(","))]
     except ValueError:
         raise ValueError(
             f"--cycle-index must list length:multiplicity pairs such as 2:2,3:1, got {text!r}"
         ) from None
+    n: dict[int, int] = {}
+    for m, nm in pairs:
+        if m in n:
+            raise ValueError(f"--cycle-index repeats length {m}")
+        n[m] = nm
+    return n
 
 
 def _emit(data: dict, stream) -> None:
@@ -230,7 +236,7 @@ def cmd_enumerate(args) -> int:
             for f in enumerate_factorizations(args.d, tau, e, stats):
                 _emit(graph_to_json(graph_of(f)), sys.stdout)
                 count += 1
-    elif args.kind == "mnr":
+    else:  # mnr, the one kind left among the parser's choices
         if args.vertex_data is None:
             raise ValueError("--vertex-data is required for kind mnr")
         vd = _parse_int_list(args.vertex_data, "--vertex-data")
@@ -243,8 +249,6 @@ def cmd_enumerate(args) -> int:
         for m in enumerate_mnr(svertices, vd):
             _emit(mnr_to_json(m), sys.stdout)
             count += 1
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
     print(f"count: {count}", file=sys.stderr)
     if args.stats:
         stats.update(outputs=count, seconds=round(time.perf_counter() - start, 6))

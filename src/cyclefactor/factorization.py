@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from array import array as typed_array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -54,7 +55,6 @@ from typing import Iterator
 from ._json import array, fields, integer, integers
 from .perm import (
     Cycle,
-    CycleType,
     check_cycle,
     cycles_of,
     index,
@@ -196,8 +196,9 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     ``tables[k]`` lists (key, inverse images) for the (k+1)-th factor, and
     choosing it turns the target into sigma^{-1} * target.  A branch is cut
     when the target is further from the identity, in Cayley distance, than
-    ``budgets[k]``, the index the remaining factors can add up to.  After the
-    last table, ``leaf(target)`` returns the solved last entry or None.
+    ``budgets[k]``, the index the remaining factors can add up to.  The root
+    is not tested: each caller's root (a d-cycle, the identity) is within it.
+    After the last table, ``leaf(target)`` returns the solved last entry or None.
 
     The search yields one batch (prefix, found) per last-level visit that
     has a solution: ``prefix`` is the tuple of keys chosen above it, and
@@ -243,8 +244,6 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     if not last:
         if found := solve(target):
             yield (), found
-        return
-    if far(target, 0):
         return
     out = [None] * last
     stack = [(_gather(target), iter(tables[0]))]
@@ -346,9 +345,11 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     and any exact packing completes, so every node yields; nodes wait on an
     explicit stack.
 
-    A cycle of exactly e_k elements is taken whole without the cut loop:
-    every choice is forced and its one-element arcs pass every test, so only
-    the loop's setup is saved, which matters where short cycles abound.
+    A cycle c of exactly e_k elements is taken whole, with no cut loop (its
+    forced choices pass every arc test) and no packing test: every node's
+    lengths e_i - 1, i >= k, pack exactly onto its cycles, as on the root;
+    those in c's room sum to e_k - 1 and can swap with e_k - 1 itself, so
+    the rest pack onto the other cycles.
     A node with the two factors e_{r-2}, e_{r-1} left yields its (sigma,
     last factor) pairs with no search, in O(n) per output.  If its target is
     one cycle c of length n = e_{r-2} + e_{r-1} - 1, it has exactly n
@@ -399,12 +400,9 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
             c = cycles[ci]
             n = len(c)
             others = cycles[:ci] + cycles[ci + 1 :]
-            if n == ek:  # sigma is all of c, forced; the cut loop would reach the same test
+            if n == ek:  # sigma is all of c, forced, and the other cycles pack
                 stats["candidates"] += 1
-                if len(others) > 1 and not packs(others, k + 1):
-                    stats["dead_ends"] += 1
-                else:
-                    yield tuple(c), others
+                yield tuple(c), others
                 continue
             end = n + p  # m's position once round the cycle, where the last arc ends
             # sigma's positions in c, m's first; choices[i] iterates those for cut[i + 1];
@@ -594,39 +592,48 @@ def count_by_cycle_index(d: int, n) -> int:
     return count
 
 
+def _check_partition(parts) -> tuple[int, ...]:
+    """The cycle type ``parts`` as a tuple, once proved a weakly decreasing tuple of positive integers."""
+    parts = tuple(parts)
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError("partition parts must be positive")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError("partition must be weakly decreasing")
+    return parts
+
+
 @dataclass(frozen=True)
 class HurwitzDatum:
-    """Branch data (d, r, g; lambda^1, ..., lambda^r) satisfying Riemann-Hurwitz."""
+    """Branch data lambda^1, ..., lambda^r: the cycle types of r branch points, partitions of one degree d.
 
-    d: int
-    r: int
-    g: int
-    lambdas: tuple[CycleType, ...]
+    Riemann-Hurwitz, sum of index(lambda^i) = 2d - 2 + 2g, must give an integer genus g >= 0."""
+
+    lambdas: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        lambdas = tuple(self.lambdas)
+        lambdas = tuple(map(_check_partition, self.lambdas))
         object.__setattr__(self, "lambdas", lambdas)
-        if self.g < 0:
-            raise ValueError("genus must be nonnegative")
-        if len(lambdas) != self.r:
-            raise ValueError(f"expected {self.r} cycle types, got {len(lambdas)}")
-        if any(t.degree != self.d for t in lambdas):
-            raise ValueError("every cycle type must partition d")
-        total = sum(index(t) for t in lambdas)
-        if total != 2 * self.d - 2 + 2 * self.g:
+        if len({sum(t) for t in lambdas}) != 1:
+            raise ValueError("need one or more cycle types, all partitions of one degree d")
+        total = sum(map(index, lambdas))
+        if total < 2 * self.d - 2 or total % 2:
             raise ValueError(
-                f"Riemann-Hurwitz violated: sum of indices {total} != "
-                f"{2 * self.d - 2 + 2 * self.g}"
+                f"Riemann-Hurwitz violated: sum of indices {total} is not 2d - 2 + 2g "
+                f"for a nonnegative integer g (d = {self.d})"
             )
 
+    @property
+    def d(self) -> int:
+        return sum(self.lambdas[0])
 
-def pure_cycle_datum(d: int, e) -> HurwitzDatum:
-    """The genus-0 datum with pure-cycle branch types (e_1, ..., e_r)."""
+
+def pure_cycle_datum(e) -> HurwitzDatum:
+    """The genus-0 datum with pure-cycle branch types (e_1, ..., e_r) of the degree d with sum(e_i - 1) = 2d - 2.
+
+    An odd sum comes out 2d - 3 for the d rounded up, which the datum refuses."""
     e = tuple(e)
-    total = sum(ei - 1 for ei in e)
-    if total != 2 * d - 2:
-        raise ValueError(f"sum(e_i - 1) = {total} != 2d - 2 = {2 * d - 2}")
-    return HurwitzDatum(d, len(e), 0, tuple(pure_cycle_type(d, ei) for ei in e))
+    d = (sum(ei - 1 for ei in e) + 3) // 2
+    return HurwitzDatum(tuple(pure_cycle_type(d, ei) for ei in e))
 
 
 def _transitive(perms_images, d: int) -> bool:
@@ -663,10 +670,10 @@ def hurwitz_count_bruteforce(h: HurwitzDatum) -> Fraction:
         for x, y in enumerate(images, start=1):
             inverse[y - 1] = x
         by_type.setdefault(type_of(images), []).append((images, tuple(inverse)))
-    tables = [by_type.get(t.partition, []) for t in h.lambdas[:-1]]
-    last_type = h.lambdas[-1].partition
+    tables = [by_type.get(t, []) for t in h.lambdas[:-1]]
+    last_type = h.lambdas[-1]
     # remaining index budget before sigma_{k+1} is chosen
-    budgets = [sum(index(t) for t in h.lambdas[k:]) for k in range(h.r)]
+    budgets = [sum(map(index, h.lambdas[k:])) for k in range(len(h.lambdas))]
 
     def leaf(target):
         return target if type_of(target) == last_type else None
@@ -676,41 +683,28 @@ def hurwitz_count_bruteforce(h: HurwitzDatum) -> Fraction:
     return Fraction(count, factorial(d))
 
 
-def formula_hurwitz_simple(d: int, r: int, tau_partition: CycleType) -> Fraction:
-    """Closed form for genus-0 Hurwitz numbers with r-1 simple branch points.
+def formula_hurwitz_simple(tau_partition) -> Fraction:
+    """Closed form for genus-0 Hurwitz numbers with r - 1 simple branch points.
 
-    The last branch point has cycle type ``tau_partition``; all others are
-    transpositions.  Requires (r-1) + index(tau_partition) = 2d - 2.
+    The last branch point has cycle type ``tau_partition``, a partition of d;
+    all others are transpositions, r - 1 = 2d - 2 - index(tau_partition).
     """
-    if tau_partition.degree != d:
-        raise ValueError(f"{tau_partition.partition!r} does not partition {d}")
-    if (r - 1) + index(tau_partition) != 2 * d - 2:
-        raise ValueError(
-            f"Riemann-Hurwitz violated: r-1 = {r - 1} != "
-            f"{2 * d - 2 - index(tau_partition)}"
-        )
-    parts = tau_partition.partition
-    n = len(parts)
-    value = Fraction(factorial(r - 1)) * Fraction(d) ** (n - 3)
+    parts = _check_partition(tau_partition)
+    d = sum(parts)
+    value = Fraction(factorial(2 * d - 2 - index(parts))) * Fraction(d) ** (len(parts) - 3)
     for t in parts:
         value *= Fraction(t**t, factorial(t))
-    multiplicity: dict[int, int] = {}
-    for t in parts:
-        multiplicity[t] = multiplicity.get(t, 0) + 1
-    for m in multiplicity.values():
+    for m in Counter(parts).values():
         value /= factorial(m)
     return value
 
 
-def formula_hurwitz_4point(d: int, e) -> int:
-    """Genus-0 pure-cycle count with four branch points: min of e_i (d+1-e_i)."""
+def formula_hurwitz_4point(e) -> int:
+    """Genus-0 pure-cycle count with four branch points: min of e_i (d+1-e_i), d that of ``pure_cycle_datum(e)``."""
     e = tuple(e)
     if len(e) != 4:
         raise ValueError("exactly four ramification indices required")
-    if any(not 2 <= ei <= d for ei in e):
-        raise ValueError(f"ramification indices must lie in [2, {d}]")
-    if sum(ei - 1 for ei in e) != 2 * d - 2:
-        raise ValueError(f"sum(e_i - 1) must be 2d - 2 = {2 * d - 2}")
+    d = pure_cycle_datum(e).d
     return min(ei * (d + 1 - ei) for ei in e)
 
 

@@ -82,39 +82,20 @@ def check_cycle(degree: int, elements: tuple[int, ...]) -> Cycle:
     return Cycle(degree, elements)
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """A partition of d recording the cycle lengths of a permutation."""
-
-    partition: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(self.partition)
-        object.__setattr__(self, "partition", parts)
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError("partition parts must be positive")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError("partition must be weakly decreasing")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.partition)
-
-
-def pure_cycle_type(d: int, e: int) -> CycleType:
-    """The type (e, 1, ..., 1) of an e-cycle in degree d."""
+def pure_cycle_type(d: int, e: int) -> tuple[int, ...]:
+    """The cycle type of an e-cycle in degree d, as its partition (e, 1, ..., 1)."""
     if not 2 <= e <= d:
         raise ValueError(f"need 2 <= e <= d, got e={e}, d={d}")
-    return CycleType((e,) + (1,) * (d - e))
+    return (e,) + (1,) * (d - e)
 
 
-def index(t: CycleType) -> int:
-    """The index of a cycle type: the sum of (part - 1) over all parts.
+def index(partition: tuple[int, ...]) -> int:
+    """The index of a cycle type, given as its partition: the sum of (part - 1) over all parts.
 
-    >>> index(CycleType((3, 2, 1)))
+    >>> index((3, 2, 1))
     3
     """
-    return sum(p - 1 for p in t.partition)
+    return sum(p - 1 for p in partition)
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -249,12 +249,12 @@ def mnr_decode(h: PruferMatrix, svertices, vertex_data) -> MultiNodedRootedTree:
     if len(h.bottom) != len(h.top):
         raise ValueError("matrix rows must be nonempty and of equal length")
     beta = tuple((v, b) for (v, _), b in zip(steps, h.bottom))
+    if any(f < 1 for f in vertex_data):
+        raise ValueError("node counts must be positive")
     m = MultiNodedRootedTree(RootedTree(svertices, tuple(steps)), vertex_data, beta)
     for (v, w), b in zip(steps, h.bottom):
         if not 1 <= b <= m.f_of(w):
             raise ValueError(f"bottom entry {b} exceeds the {m.f_of(w)} nodes of vertex {w}")
-    if any(f < 1 for f in vertex_data):
-        raise ValueError("node counts must be positive")
     return m
 
 

@@ -40,7 +40,6 @@ from .graph import (
 )
 from .perm import (
     Cycle,
-    CycleType,
     NotMaximal,
     compose,
     cycles_of,
@@ -137,7 +136,7 @@ def check_hurwitz_identity(max_d: int) -> CheckResult:
     cases = 0
     for d in range(2, min(max_d, 5) + 1):
         for e in genus0_types(d):
-            datum = pure_cycle_datum(d, e + (d,))
+            datum = pure_cycle_datum(e + (d,))
             h = hurwitz_count_bruteforce(datum)
             fac = count_factorizations(d, e, "bruteforce")
             if h * d != fac:
@@ -155,18 +154,17 @@ def check_cross_formulas(max_d: int) -> CheckResult:
         for e in itertools.combinations_with_replacement(range(2, d + 1), 4):
             if sum(ei - 1 for ei in e) != 2 * d - 2:
                 continue
-            formula = formula_hurwitz_4point(d, e)
-            brute = hurwitz_count_bruteforce(pure_cycle_datum(d, e))
+            formula = formula_hurwitz_4point(e)
+            brute = hurwitz_count_bruteforce(pure_cycle_datum(e))
             if brute != formula:
                 return CheckResult("cross-formulas", False, f"4pt d={d} e={e}")
     # simple branch points with one arbitrary type
     for d in range(2, min(max_d, 4) + 1):
         for parts in partitions(d):
-            tau_type = CycleType(parts)
             r = 2 * d - 1 - sum(p - 1 for p in parts)
-            formula = formula_hurwitz_simple(d, r, tau_type)
-            lambdas = (pure_cycle_type(d, 2),) * (r - 1) + (tau_type,)
-            brute = hurwitz_count_bruteforce(HurwitzDatum(d, r, 0, lambdas))
+            formula = formula_hurwitz_simple(parts)
+            lambdas = (pure_cycle_type(d, 2),) * (r - 1) + (parts,)
+            brute = hurwitz_count_bruteforce(HurwitzDatum(lambdas))
             if brute != formula:
                 return CheckResult(
                     "cross-formulas", False, f"simple d={d} type={parts}: {brute} != {formula}"

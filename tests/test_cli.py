@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclefactor import cli, factorization, graph
+from cyclefactor import cli, factorization, graph, verify
 from cyclefactor import worked_example as we
 from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.cli import main
@@ -188,7 +188,8 @@ BAD_TREES = [
 ]
 
 # (id, input, message): one codec matrix for every check that the matrix
-# reader runs on the two rows, and inputs that break several, for their order
+# reader runs on the two rows and the decoder on the vertex data, and inputs
+# that break several, for their order
 BAD_MATRICES = [
     ("unequal-rows", '{"S":[5],"vertex_data":[1,1],"top":[0],"bottom":[1,1]}', "matrix rows must be nonempty and of equal length"),
     ("empty-rows", '{"S":[],"vertex_data":[1],"top":[],"bottom":[]}', "matrix rows must be nonempty and of equal length"),
@@ -197,6 +198,9 @@ BAD_MATRICES = [
     # rows of unequal length, whose top ends off the root and whose bottom holds 0
     ("rows-first", '{"S":[5],"vertex_data":[1,1],"top":[5],"bottom":[0,1]}', "matrix rows must be nonempty and of equal length"),
     ("top-before-bottom", '{"S":[5],"vertex_data":[1,1],"top":[5],"bottom":[0]}', "last top entry must be the root 0"),
+    ("vertex-data-length", '{"S":[5],"vertex_data":[1],"top":[0],"bottom":[1]}', "vertex data must list the root and every S-vertex"),
+    # a negative node count is named before the bottom entry that it leaves no room for
+    ("negative-count", '{"S":[5,6],"vertex_data":[1,-2,1],"top":[5,0],"bottom":[1,1]}', "node counts must be positive"),
 ]
 
 # (id, direction, input, message): one input for every check that the
@@ -1038,6 +1042,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "nonexistent-check")
         assert code == 2 and "no checks match" in err
 
+    def test_failing_check(self, capsys, monkeypatch):
+        # a walker count one too many fails main-count on its first type
+        real = verify.count_factorizations
+
+        def one_too_many(d, e, method="bruteforce", stats=None):
+            return real(d, e, method, stats) + (method == "bruteforce")
+
+        monkeypatch.setattr(verify, "count_factorizations", one_too_many)
+        code, out, _ = run(capsys, "verify", "--only", "main-count", "--max-d", "3")
+        assert (code, out) == (
+            1,
+            "FAIL  main-count  d=2 e=(2,): walker 2, Cayley prune 1, expected 1\n0/1 checks passed\n",
+        )
+
 
 class TestExport:
     def test_graph_dot(self, capsys, monkeypatch):
@@ -1093,6 +1111,11 @@ class TestPrufer:
             stdin='{"S":[],"edges":[]}', monkeypatch=monkeypatch,
         )
         assert code == 2 and err
+
+    def test_decode_trivial_tree(self, capsys, monkeypatch):
+        argv = ("prufer", "--mode", "decode")
+        code, out, err = run(capsys, *argv, stdin='{"S":[],"sequence":[]}', monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", "error: the trivial tree has no codec\n")
 
 
 class TestInputErrorsNameTheField:
@@ -1200,3 +1223,8 @@ class TestInputErrorsNameTheField:
         code, out, err = run(capsys, "count", "--d", "3", "--cycle-index", "2")
         assert code == 2 and not out
         assert err.startswith("error: --cycle-index must list length:multiplicity pairs")
+
+    def test_cycle_index_repeated_length(self, capsys):
+        # a later pair must not overwrite an earlier one of the same length
+        code, out, err = run(capsys, "count", "--d", "3", "--cycle-index", "2:5,2:2")
+        assert (code, out, err) == (2, "", "error: --cycle-index repeats length 2\n")

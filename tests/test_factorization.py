@@ -22,7 +22,7 @@ from cyclefactor.factorization import (
     pure_cycle_datum,
     validate,
 )
-from cyclefactor.perm import Cycle, CycleType, positions, pure_cycle_type, standard_cycle
+from cyclefactor.perm import Cycle, positions, pure_cycle_type, standard_cycle
 from cyclefactor.worked_example import factorization as worked_factorization
 
 
@@ -122,6 +122,11 @@ class TestValidate:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("tau", [Cycle(4, (1, 2, 3)), Cycle(3, (1, 2))], ids=["degree", "length"])
+    def test_tau_must_be_a_full_cycle(self, tau):
+        with pytest.raises(ValueError, match=r"^tau must be a 3-cycle of degree 3$"):
+            enumerate_factorizations(3, tau, (2, 2))
+
     def test_d3_pairs_frozen(self):
         # oracle: exhaustive search over all 3x3 transposition pairs
         got = [
@@ -466,37 +471,43 @@ class TestCycleIndex:
 
 class TestHurwitzBruteforce:
     def test_three_sheets(self):
-        h = HurwitzDatum(3, 3, 0, (CycleType((2, 1)), CycleType((2, 1)), CycleType((3,))))
+        h = HurwitzDatum(((2, 1), (2, 1), (3,)))
         assert hurwitz_count_bruteforce(h) == 1
 
     def test_two_sheets(self):
-        h = HurwitzDatum(2, 2, 0, (CycleType((2,)), CycleType((2,))))
+        h = HurwitzDatum(((2,), (2,)))
         assert hurwitz_count_bruteforce(h) == Fraction(1, 2)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_one_sheet(self, r):
         # every target is the one point's identity, one image long
-        h = HurwitzDatum(1, r, 0, (CycleType((1,)),) * r)
+        h = HurwitzDatum(((1,),) * r)
         assert hurwitz_count_bruteforce(h) == 1
 
     def test_riemann_hurwitz_filter(self):
-        with pytest.raises(ValueError):
-            HurwitzDatum(3, 2, 0, (CycleType((2, 1)), CycleType((2, 1))))
+        with pytest.raises(ValueError, match="^Riemann-Hurwitz violated: sum of indices 2 "):
+            HurwitzDatum(((2, 1), (2, 1)))
+
+    @pytest.mark.parametrize("lambdas", [(), ((2,), (2, 1))], ids=["empty", "two-degrees"])
+    def test_one_degree(self, lambdas):
+        # d is read off the partitions, so they must exist and agree
+        with pytest.raises(ValueError, match="^need one or more cycle types, all partitions of one degree d$"):
+            HurwitzDatum(lambdas)
 
     def test_disconnected_tuples_are_dropped(self):
         # many tuples multiply to the identity without joining [4], (1 2) six times among them
-        h = HurwitzDatum(4, 6, 0, (CycleType((2, 1, 1)),) * 6)
-        assert hurwitz_count_bruteforce(h) == formula_hurwitz_simple(4, 6, CycleType((2, 1, 1))) == 120
+        h = HurwitzDatum(((2, 1, 1),) * 6)
+        assert hurwitz_count_bruteforce(h) == formula_hurwitz_simple((2, 1, 1)) == 120
 
     def test_cap(self):
-        datum = pure_cycle_datum(7, (2,) * 6 + (7,))
+        datum = pure_cycle_datum((2,) * 6 + (7,))
         with pytest.raises(CapExceededError):
             hurwitz_count_bruteforce(datum)
 
     def test_identity_with_factorizations(self):
         for d in range(2, 5):
             for e in genus0_types(d):
-                datum = pure_cycle_datum(d, e + (d,))
+                datum = pure_cycle_datum(e + (d,))
                 h = hurwitz_count_bruteforce(datum)
                 assert h * d == count_factorizations(d, e)
 
@@ -504,35 +515,38 @@ class TestHurwitzBruteforce:
 class TestClosedFormulas:
     def test_simple_full_cycle_is_power(self):
         for d in range(2, 6):
-            assert formula_hurwitz_simple(d, d, CycleType((d,))) == d ** (d - 3)
+            assert formula_hurwitz_simple((d,)) == d ** (d - 3)
 
     def test_simple_d3(self):
-        assert formula_hurwitz_simple(3, 3, CycleType((3,))) == 1
+        assert formula_hurwitz_simple((3,)) == 1
 
     def test_simple_vs_bruteforce_two_two(self):
-        value = formula_hurwitz_simple(4, 5, CycleType((2, 2)))
-        lambdas = (pure_cycle_type(4, 2),) * 4 + (CycleType((2, 2)),)
-        assert value == hurwitz_count_bruteforce(HurwitzDatum(4, 5, 0, lambdas)) == 12
+        value = formula_hurwitz_simple((2, 2))
+        lambdas = (pure_cycle_type(4, 2),) * 4 + ((2, 2),)
+        assert value == hurwitz_count_bruteforce(HurwitzDatum(lambdas)) == 12
 
     def test_simple_rejects_wrong_r(self):
-        with pytest.raises(ValueError):
-            formula_hurwitz_simple(4, 3, CycleType((2, 2)))
+        # r - 1 is read off the partition, so only a non-partition is refused
+        refusals = [((2, 3), "partition must be weakly decreasing"), ((2, 0), "partition parts must be positive")]
+        for parts, message in refusals:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                formula_hurwitz_simple(parts)
 
     def test_4point(self):
-        assert formula_hurwitz_4point(5, (2, 2, 3, 5)) == 5
-        assert formula_hurwitz_4point(4, (2, 2, 2, 4)) == 4
-        assert formula_hurwitz_4point(4, (2, 2, 2, 4)) * 4 == count_factorizations(4, (2, 2, 2))
+        assert formula_hurwitz_4point((2, 2, 3, 5)) == 5
+        assert formula_hurwitz_4point((2, 2, 2, 4)) == 4
+        assert formula_hurwitz_4point((2, 2, 2, 4)) * 4 == count_factorizations(4, (2, 2, 2))
 
     def test_4point_last_index_full(self):
         for d in range(3, 7):
             for e123 in itertools.combinations_with_replacement(range(2, d + 1), 3):
                 if sum(x - 1 for x in e123) != d - 1:
                     continue
-                assert formula_hurwitz_4point(d, e123 + (d,)) == d
+                assert formula_hurwitz_4point(e123 + (d,)) == d
 
     def test_4point_rejects_bad_data(self):
         with pytest.raises(ValueError):
-            formula_hurwitz_4point(5, (2, 2, 2, 5))
+            formula_hurwitz_4point((2, 2, 2, 5))
 
 
 class TestJsonAndStandardize:

@@ -319,6 +319,16 @@ class TestCicpp:
         with pytest.raises(ValueError):
             has_cicpp(star_graph(3), 99)
 
+    def test_degree_one_rejected(self):
+        g = FactorizationGraph(
+            3,
+            (4, 5),
+            frozenset({(4, 1), (4, 2), (4, 3), (5, 2)}),
+            standard_cycle(3),
+        )
+        with pytest.raises(ValueError, match=r"^S-vertex 5 has degree < 2; predicates undefined$"):
+            has_cicpp(g, 2)
+
 
 class TestCharacterization:
     def test_worked_graph_passes(self):

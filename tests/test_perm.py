@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from cyclefactor.factorization import HurwitzDatum
 from cyclefactor.perm import (
     Cycle,
-    CycleType,
     NotMaximal,
     check_cycle,
     clockwise_reading,
@@ -115,25 +115,26 @@ class TestCycleDecomposition:
         for d in range(1, 6):
             for images in itertools.permutations(range(1, d + 1)):
                 cycles = cycles_of(images)
-                t = CycleType(tuple(sorted(map(len, cycles), reverse=True)))
+                t = tuple(sorted(map(len, cycles), reverse=True))
                 assert index(t) == d - len(cycles)
 
 
 class TestCycleType:
     def test_single_cycle(self):
-        assert index(CycleType((5,))) == 4
+        assert index((5,)) == 4
 
     def test_transposition_type(self):
-        assert index(CycleType((2, 1, 1))) == 1
+        assert index((2, 1, 1)) == 1
 
     def test_pure_cycle_indices(self):
         for e in (2, 3, 2, 3, 3, 4, 4, 2, 5):
             lengths = sorted(map(len, cycles_of(perm(20, tuple(range(1, e + 1))))), reverse=True)
-            assert index(CycleType(tuple(lengths))) == e - 1
+            assert index(tuple(lengths)) == e - 1
 
     def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            CycleType((1, 2))
+        # a cycle type is its partition, which the datum proves weakly decreasing
+        with pytest.raises(ValueError, match="^partition must be weakly decreasing$"):
+            HurwitzDatum(((2, 1), (1, 2), (3,)))
 
 
 class TestCycleCanonicalForm:
