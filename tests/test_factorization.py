@@ -252,6 +252,22 @@ class TestEnumeration:
                     expected = sorted(_cayley_stream(d, tau, e), key=by_position(tau))
                     assert factor_elements(d, tau, e) == expected
 
+    @pytest.mark.parametrize(
+        "d, outputs, expected",
+        [
+            (6, 1296, {"nodes": 136, "targets": 239, "reuses": 1561}),
+            (7, 16807, {"nodes": 1982, "targets": 1239, "reuses": 34776}),
+        ],
+    )
+    def test_cayley_search_stats_pinned(self, d, outputs, expected):
+        # genus 0, so the Cayley prune cuts at every level: the search must enter
+        # exactly these nodes and solve exactly these targets
+        from cyclefactor.factorization import _cayley_stream
+
+        stats = {}
+        assert sum(1 for _ in _cayley_stream(d, standard_cycle(d), (2,) * (d - 1), stats)) == outputs
+        assert stats == expected
+
     def test_emitted_factors_equal_validated_cycles(self):
         for d in range(2, 7):
             for e in genus0_types(d):
