@@ -18,15 +18,15 @@ positions round tau.  Two searches produce the stream on (1 2 ... d):
   search: on one n-cycle it yields its n completions in closed form, one
   per start of the long arc, and on two cycles each factor is a whole
   cycle.  Nodes wait on an explicit stack, so no type is too deep to walk.
-* every genus (``_search``, the one search core): each factor is taken
-  from a table of candidates, the last factor is solved for, and branches
-  whose remaining target is too far (in Cayley distance) from the identity
-  for the remaining lengths are pruned.  The last two factors are solved
-  once per distinct target, and nodes wait on an explicit stack.  It runs
-  the positive-genus stream, the brute-force Hurwitz count (tables of whole
-  conjugacy classes, a leaf test for the last type, transitivity filtered
-  from the stream), and serves as the genus-0 walker's oracle in ``verify``
-  and the tests.
+* every genus (``_search``, the one search core): each factor is taken from
+  a table of candidates, the last factor is solved for, and branches whose
+  remaining target is too far (in Cayley distance) from the identity for the
+  remaining lengths are pruned.  Each distinct target's distance is measured
+  once, the last two factors are solved once per distinct target, and nodes
+  wait on an explicit stack.  It runs the positive-genus stream, the
+  brute-force Hurwitz count (tables of whole conjugacy classes, a leaf test
+  for the last type, transitivity filtered from the stream), and serves as
+  the genus-0 walker's oracle in ``verify`` and the tests.
 
 Both yield one batch per node with two factors left: the factors above the
 node, then the node's solved (sigma, last factor) pairs.  ``factor_batches``
@@ -206,16 +206,18 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
     one output, (*keys, entry).  With no table the one batch is ((),
     ((entry,),)).
 
-    Each node keeps, in place of its target, one ``itemgetter`` over the
-    target's points (``_gather``), built when the node is pushed, so every
-    child costs one C-level call on the chosen factor's inverse images.
-    The pairs (key, entry) of the last two factors depend only on the target
-    the last table starts from, so they are solved once per distinct target
-    and kept for this call; a batch holds that memo's own tuple, so a caller
-    counts a visit by its length and builds no output.  Nodes wait on an
-    explicit stack.  ``stats`` counts the nodes entered (the root and every
-    stacked child), the distinct targets solved and the reuses of a solved
-    target.
+    Each distinct target is measured once per call, on first sight: a dict
+    keeps its Cayley distance (one ``cycles_of`` walk), which the prune
+    reads, and one ``itemgetter`` over its points (``_gather``), which a
+    pushed node keeps in place of its target, so every child costs one
+    C-level call on the chosen factor's inverse images; the dict holds at
+    most d! entries.  The pairs (key, entry) of the last two factors depend
+    only on the target the last table starts from, so they are solved once
+    per distinct target and kept for this call; a batch holds that memo's
+    own tuple, so a caller counts a visit by its length and builds no
+    output.  Nodes wait on an explicit stack.  ``stats`` counts the nodes
+    entered (the root and every stacked child), the distinct targets solved
+    and the reuses of a solved target.
     """
     stats = {} if stats is None else stats
     stats.update(nodes=1, targets=0, reuses=0)
@@ -225,18 +227,20 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
         if hit is not None:
             yield (), ((hit,),)
         return
+    measured: dict = {}
     solved: dict = {}
 
-    def far(target, k):  # further from the identity than the factors from k on reach
-        return len(target) - len(cycles_of(target)) > budgets[k]
+    def measure(target):  # (Cayley distance from the identity, gather), once per distinct target
+        m = measured[target] = (len(target) - len(cycles_of(target)), _gather(target))
+        return m
 
     def solve(target):
         # (key, entry) for each last-table key whose solved last factor exists
         stats["targets"] += 1
-        if far(target, last):
+        distance, gather = measured.get(target) or measure(target)
+        if distance > budgets[last]:
             found = ()
         else:
-            gather = _gather(target)
             found = tuple((key, hit) for key, inv in tables[last] if (hit := leaf(gather(inv))) is not None)
         solved[target] = found
         return found
@@ -265,12 +269,14 @@ def _search(target, tables, budgets, leaf, stats: dict | None = None):
             stats["reuses"] += reuses
             stack.pop()
         else:
+            budget = budgets[k + 1]
             for key, inv in children:
                 child = gather(inv)
-                if not far(child, k + 1):
+                distance, child_gather = measured.get(child) or measure(child)
+                if distance <= budget:
                     out[k] = key
                     stats["nodes"] += 1
-                    stack.append((_gather(child), iter(tables[k + 1])))
+                    stack.append((child_gather, iter(tables[k + 1])))
                     break
             else:
                 stack.pop()
@@ -577,15 +583,18 @@ def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | No
 def count_by_cycle_index(d: int, n) -> int:
     """Count factorizations of a d-cycle with n_m factors of length m.
 
-    ``n`` maps factor lengths m in [2, d] to multiplicities.  Requires
+    ``n`` maps factor lengths m in [2, d] to multiplicities, a length with
+    multiplicity 0 included.  Requires at least one factor and
     sum (m-1) n_m = d - 1, and returns d^(r-2) (r-1)! / prod n_m! exactly.
     """
-    n = {int(m): int(nm) for m, nm in dict(n).items() if nm}
+    n = {int(m): int(nm) for m, nm in dict(n).items()}
     if any(not 2 <= m <= d for m in n) or any(nm < 0 for nm in n.values()):
         raise ValueError(f"bad cycle index {n!r} for degree {d}")
+    r_minus_1 = sum(n.values())
+    if not r_minus_1:
+        raise ValueError("cycle index must list at least one factor")
     if sum((m - 1) * nm for m, nm in n.items()) != d - 1:
         raise ValueError("cycle index must satisfy sum (m-1) n_m = d - 1")
-    r_minus_1 = sum(n.values())
     count = d ** (r_minus_1 - 1) * factorial(r_minus_1)
     for nm in n.values():
         count //= factorial(nm)

@@ -183,7 +183,8 @@ def check_cross_formulas(max_d: int) -> CheckResult:
                 return CheckResult(
                     "cross-formulas", False, f"index d={d} n={n}: {total} != {formula}"
                 )
-    return CheckResult("cross-formulas", True, f"4pt/simple/index up to d={min(max_d, 6)}")
+    reach = f"4pt d <= {min(max_d, 5)}, simple d <= {min(max_d, 4)}, index d <= {min(max_d, 6)}"
+    return CheckResult("cross-formulas", True, reach)
 
 
 def check_prufer(seed: int, max_d: int = 6) -> CheckResult:

@@ -996,6 +996,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-d", "3", "--only", "prufer")
         assert code == 0 and "node total <= 4" in out
 
+    def test_cross_formulas_names_each_reach(self, capsys):
+        # each closed formula is checked against brute force to its own degree, whatever --max-d
+        code, out, _ = run(capsys, "verify", "--only", "cross-formulas", "--max-d", "9")
+        assert (code, out) == (
+            0,
+            "PASS  cross-formulas  4pt d <= 5, simple d <= 4, index d <= 6\n1/1 checks passed\n",
+        )
+
     def test_only_filter(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-d", "3", "--only", "golden")
         assert code == 0
@@ -1228,3 +1236,18 @@ class TestInputErrorsNameTheField:
         # a later pair must not overwrite an earlier one of the same length
         code, out, err = run(capsys, "count", "--d", "3", "--cycle-index", "2:5,2:2")
         assert (code, out, err) == (2, "", "error: --cycle-index repeats length 2\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--d", "1", "--cycle-index", "2:0"), "bad cycle index {2: 0} for degree 1"),
+            (("--d", "1", "--cycle-index", "2:0", "--hurwitz"), "bad cycle index {2: 0} for degree 1"),
+            (("--d", "3", "--cycle-index", "2:2,9:0"), "bad cycle index {2: 2, 9: 0} for degree 3"),
+            (("--d", "3", "--cycle-index", "2:0"), "cycle index must list at least one factor"),
+        ],
+        ids=["d1", "d1-hurwitz", "length-9", "no-factor"],
+    )
+    def test_cycle_index_zero_multiplicity(self, capsys, argv, message):
+        # a length listed with multiplicity 0 is range-checked too, and an index needs a factor
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -268,6 +268,24 @@ class TestEnumeration:
         assert sum(1 for _ in _cayley_stream(d, standard_cycle(d), (2,) * (d - 1), stats)) == outputs
         assert stats == expected
 
+    def test_cayley_search_walks_each_target_once(self, monkeypatch):
+        # the prune reads a target's Cayley distance off one whole cycle walk per search,
+        # however often the target is met: all 120 permutations of S_5, once each
+        # (the leaf's own walks start from one point)
+        from cyclefactor import factorization
+
+        walks = {}
+        cycles_of = factorization.cycles_of
+
+        def counted(images, points=None):
+            if points is None:
+                walks[images] = walks.get(images, 0) + 1
+            return cycles_of(images, points)
+
+        monkeypatch.setattr(factorization, "cycles_of", counted)
+        assert count_factorizations(5, (2,) * 6, "bruteforce") == 15625
+        assert (len(walks), max(walks.values())) == (120, 1)
+
     def test_emitted_factors_equal_validated_cycles(self):
         for d in range(2, 7):
             for e in genus0_types(d):
@@ -483,6 +501,20 @@ class TestCycleIndex:
     def test_requirement_violation(self):
         with pytest.raises(ValueError):
             count_by_cycle_index(5, {2: 1})
+
+    def test_zero_multiplicity(self):
+        # a length of multiplicity 0 counts nothing, but is range-checked like any other
+        assert count_by_cycle_index(3, {2: 2, 3: 0}) == 3
+        with pytest.raises(ValueError, match="bad cycle index"):
+            count_by_cycle_index(1, {2: 0})
+        with pytest.raises(ValueError, match=r"bad cycle index \{2: 2, 9: 0\} for degree 3"):
+            count_by_cycle_index(3, {2: 2, 9: 0})
+
+    @pytest.mark.parametrize("d, n", [(1, {}), (3, {2: 0})])
+    def test_no_factor(self, d, n):
+        # r - 1 = 0 would make d^(r-2) the float 1/d
+        with pytest.raises(ValueError, match="cycle index must list at least one factor"):
+            count_by_cycle_index(d, n)
 
 
 class TestHurwitzBruteforce:
