@@ -203,6 +203,10 @@ def cmd_enumerate(args) -> int:
     count = 0
     stats: dict = {}
     start = time.perf_counter()
+    foreign = ("vertex_data", "s") if args.kind in ("factorization", "graph") else ("d", "e")
+    for name in foreign:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to kind {args.kind}")
     if args.kind in ("factorization", "graph"):
         if args.d is None or args.e is None:
             raise ValueError("--d and --e are required for this kind")

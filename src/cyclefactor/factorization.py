@@ -342,14 +342,20 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     target increases from its minimum (the noncrossing-partition picture),
     so sigma is read from its minimum m, the other elements are the ones
     after m, and the choices come in ``itertools.combinations`` order:
-    candidates stream by m, and the other elements are chosen depth first.
+    candidates stream by m, sigma's e_k - 2 inner elements are chosen depth
+    first (``heads``; for e_k = 2 the head is m alone, with no stack), and
+    its last element q in one flat loop per head, the same for every e_k.
     An arc is tested as soon as its end is chosen: an arc of a elements is
     viable only if a - 1 is the sum of some of the later (e_i - 1), counted
     with multiplicity, and so must be the sum of (a - 1) over all the arcs
-    closed so far, since disjoint arcs are filled by disjoint factors.  A
-    child is entered only if the later lengths pack exactly onto its cycles,
-    and any exact packing completes, so every node yields; nodes wait on an
-    explicit stack.
+    closed so far, since disjoint arcs are filled by disjoint factors.  The
+    arc from q round to m closes the last, and with it all of them: that
+    sum does not depend on q, so it is tested once per head.  The child is
+    the other cycles, the arcs the head kept as it closed them, and q's two
+    arcs.  A child is entered only if the later lengths pack exactly onto
+    its cycles (unit items always do, so once every later length is 2 the
+    test is skipped), and any exact packing completes, so every node
+    yields; nodes wait on an explicit stack.
 
     A cycle c of exactly e_k elements is taken whole, with no cut loop (its
     forced choices pass every arc test) and no packing test: every node's
@@ -369,11 +375,11 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     Consecutive prefixes share their leading tuples as the same objects.
 
     ``stats`` counts the nodes entered, the candidates tested and the dead
-    ends among them (candidates whose child fails the packing), as the
-    batches are read.  A node in closed form counts as the search would
-    count it: one node, and one candidate per completion, none of them a
-    dead end (on two cycles the arc tests refuse every cut of the longer
-    cycle).
+    ends among them (candidates whose child fails the packing), once per
+    node: a searching node adds its counts when its candidates run out, a
+    node in closed form when its batch is made, and counts as the search
+    would: one node, and one candidate per completion, none of them a dead
+    end (on two cycles the arc tests refuse every cut of the longer cycle).
     """
     last = len(e) - 1
     if not last:
@@ -385,6 +391,10 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
     for k in range(last, 0, -1):
         sums |= sums << (e[k] - 1)
         viable[k - 1] = sums << 1
+    # every length from e[twos] on is 2, so a child at level twos or deeper packs
+    twos = len(e)
+    while twos and e[twos - 1] == 2:
+        twos -= 1
     fits: dict = {}
 
     def packs(child, k):
@@ -395,79 +405,94 @@ def _walk_genus0(d: int, e: tuple[int, ...], stats: dict):
             ok = fits[k, lengths] = _packs(items, tuple(n - 1 for n in lengths))
         return ok
 
+    def heads(c, p, ek, arcs_ok, others):
+        # (sigma but its last element, that element's position, the sum of (a - 1) over the
+        # arcs closed so far, the other cycles and those arcs) for each choice of sigma's
+        # ek - 2 inner elements, depth first; kept[i] holds the arcs closed up to cut[i]
+        n = len(c)
+        cut, used, kept, choices = [p], [0], [others], [iter(range(p + 1, n - ek + 2))]
+        while choices:
+            at, u = cut[-1], used[-1]
+            for q in choices[-1]:
+                arc = q - at  # the new arc, and all the closed arcs together, must be fillable
+                if arcs_ok >> arc & 1 and arcs_ok >> (u + arc) & 1:
+                    cut.append(q)
+                    used.append(u + arc - 1)
+                    kept.append(kept[-1] + [c[at:q]] if arc > 1 else kept[-1])
+                    if len(cut) < ek - 1:
+                        choices.append(iter(range(q + 1, n - ek + 1 + len(cut))))
+                        break
+                    yield tuple(map(c.__getitem__, cut)), q, used.pop(), kept.pop()
+                    cut.pop()
+            else:
+                choices.pop()
+                cut.pop()
+                used.pop()
+                kept.pop()
+
     def children(cycles, k):
         # (sigma_{k+1}, the child's cycles) for each candidate that passes, in order
-        stats["nodes"] += 1
         ek, arcs_ok = e[k], viable[k]
-        # (m, ci, p) for each element m = c[p] with at least ek - 1 elements after it
-        starts = [zip(c, itertools.repeat(ci), range(len(c) - ek + 1)) for ci, c in enumerate(cycles) if len(c) >= ek]
-        # the cycles' runs of minima, merged by value
-        for m, ci, p in starts[0] if len(starts) == 1 else sorted(itertools.chain(*starts)):
-            c = cycles[ci]
+        check = k + 1 < twos
+        found = dead = 0
+        # (m, (c, the other cycles), p) for each element m = c[p] with at least ek - 1
+        # elements after it; the cycles' runs of minima, merged by value
+        starts = [
+            zip(c, itertools.repeat((c, cycles[:ci] + cycles[ci + 1 :])), range(len(c) - ek + 1))
+            for ci, c in enumerate(cycles)
+            if len(c) >= ek
+        ]
+        for m, (c, others), p in starts[0] if len(starts) == 1 else sorted(itertools.chain(*starts)):
             n = len(c)
-            others = cycles[:ci] + cycles[ci + 1 :]
             if n == ek:  # sigma is all of c, forced, and the other cycles pack
-                stats["candidates"] += 1
+                found += 1
                 yield tuple(c), others
                 continue
             end = n + p  # m's position once round the cycle, where the last arc ends
-            # sigma's positions in c, m's first; choices[i] iterates those for cut[i + 1];
-            # used[i] is the sum of (a - 1) over the arcs closed at cut[i]
-            cut, used, choices = [p], [0], []
-            while cut:
-                if len(choices) < len(cut):  # the positions after q, leaving room
-                    q = cut[-1]
-                    choices.append(iter(range(q + 1, n - (ek - 1 - len(cut)))))
-                at, u = cut[-1], used[-1]
-                for q in choices[-1]:
-                    # the new arc, and all the closed arcs together, must be fillable
-                    arc = q - at
-                    if not (arcs_ok >> arc & 1 and arcs_ok >> (u + arc) & 1):
-                        continue
-                    if len(cut) < ek - 1:
-                        cut.append(q)
-                        used.append(u + arc - 1)
-                        break
-                    if not (arcs_ok >> (end - q) & 1 and arcs_ok >> (u + arc - 1 + end - q) & 1):
-                        continue
-                    stats["candidates"] += 1
-                    cut.append(q)
-                    sigma = tuple(map(c.__getitem__, cut))
-                    child = others + [c[a:b] for a, b in zip(cut, cut[1:]) if b - a > 1]
-                    cut.pop()
-                    tail = (*c[:p], *c[q:]) if p else c[q:]
-                    if len(tail) > 1:
-                        child.append(tail)
-                    if len(child) > 1 and not packs(child, k + 1):
-                        stats["dead_ends"] += 1
-                    else:
-                        yield sigma, child
-                else:
-                    choices.pop()
-                    cut.pop()
-                    used.pop()
+            lead = c[:p]  # the last arc wraps from c[q] round to c[p - 1]
+            # for ek = 2 the head is m alone, and sigma (m, c[q])
+            for head, at, u, base in heads(c, p, ek, arcs_ok, others) if ek > 2 else ((None, p, 0, others),):
+                # the arc from q round to m closes every arc: their sum is the same for each q
+                if not arcs_ok >> (u + end - at - 1) & 1:
+                    continue
+                # bit a: an arc of a, and the closed arcs with it, fill
+                both = arcs_ok & arcs_ok >> u if u else arcs_ok
+                for q in range(at + 1, n):
+                    if both >> (q - at) & 1 and arcs_ok >> (end - q) & 1:
+                        found += 1
+                        if end - q > 1:
+                            tail = (*lead, *c[q:]) if p else c[q:]
+                            child = base + [c[at:q], tail] if q - at > 1 else base + [tail]
+                        else:
+                            child = base + [c[at:q]] if q - at > 1 else base
+                        if check and len(child) > 1 and not packs(child, k + 1):
+                            dead += 1
+                        else:
+                            yield (m, c[q]) if head is None else head + (c[q],), child
+        stats["nodes"] += 1
+        stats["candidates"] += found
+        stats["dead_ends"] += dead
 
     def completions(cycles):
         # the node's (sigma, last factor) pairs, in order; both factors are forced
         stats["nodes"] += 1
         if len(cycles) == 2:  # each factor is a whole cycle, sigma the one of length e[last - 1]
-            a, b = sorted(map(tuple, cycles))
-            for sigma, z in (a, b), (b, a):
-                if len(sigma) == e[last - 1]:
-                    stats["candidates"] += 1
-                    yield sigma, z
-            return
+            # the node packs, so the lengths are e[last - 1] and e[last]
+            a, b = map(tuple, cycles)
+            if b < a:
+                a, b = b, a
+            pairs = ((a, b), (b, a)) if len(a) == len(b) else ((a, b),) if len(a) == e[last - 1] else ((b, a),)
+            stats["candidates"] += len(pairs)
+            return pairs
         # one n-cycle c, n = e[last - 1] + e[last] - 1: sigma takes c[s] and the
-        # n - b elements after the long arc c[s:s+b]
+        # n - b elements after the long arc c[s:s+b], which wraps once s + b > n
         c = tuple(cycles[0])
         n, b = len(c), e[last]
-        for s in (*range(n - b, -1, -1), *range(n - b + 1, n)):
-            stats["candidates"] += 1
-            if s + b <= n:
-                yield c[: s + 1] + c[s + b :], c[s : s + b]
-            else:
-                j = s + b - n
-                yield c[j : s + 1], c[:j] + c[s:]
+        stats["candidates"] += n
+        return (
+            (c[: s + 1] + c[s + b :], c[s : s + b]) if s + b <= n else (c[s + b - n : s + 1], c[: s + b - n] + c[s:])
+            for s in (*range(n - b, -1, -1), *range(n - b + 1, n))
+        )
 
     # the root is a view, so the arcs sliced from it share its memory: a chain
     # of d cuts would otherwise copy d^2 / 2 elements
@@ -496,7 +521,7 @@ def factor_batches(d: int, e, stats: dict | None = None):
     A batch is (prefix, tails); each ``prefix + tail`` is one output, as
     min-first tuples, and consecutive prefixes share their leading tuples.
     The tails are the walker's lazy completions (genus 0), with its nodes,
-    candidates and dead ends counted into ``stats`` as they are read, or the
+    candidates and dead ends added to ``stats`` node by node, or the
     search core's solved tuple, with its nodes, targets and reuses.
     """
     e = tuple(e)

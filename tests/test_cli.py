@@ -578,6 +578,22 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().split("\n")) == 16
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("--kind", "mnr", "--vertex-data", "1,1", "--d", "9", "--e", "3"), "--d"),
+            (("--kind", "mnr", "--vertex-data", "1,1", "--e", "3"), "--e"),
+            (("--kind", "factorization", "--d", "3", "--e", "2,2", "--vertex-data", "1,1", "--s", "4"), "--vertex-data"),
+            (("--kind", "graph", "--d", "3", "--e", "2,2", "--s", "4"), "--s"),
+        ],
+        ids=["mnr-d", "mnr-e", "factorization-vertex-data", "graph-s"],
+    )
+    def test_options_of_the_other_kind_are_refused(self, capsys, argv, flag):
+        # an option the kind does not read is named, never dropped silently
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} does not apply to kind {argv[1]}\n"
+
     def test_mnr_default_s(self, capsys):
         code, out, err = run(capsys, "enumerate", "--kind", "mnr", "--vertex-data", "1,1")
         assert code == 0

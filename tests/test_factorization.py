@@ -351,6 +351,20 @@ class TestEnumeration:
             assert count_factorizations(d, e, "bruteforce", count_stats) == len(stream) > 0, (d, e)
             assert batch_stats == record_stats == count_stats, (d, e)
 
+    def test_batches_read_after_the_walk_moved_on(self):
+        # the walker shares lists between candidates and keeps closed arcs from one
+        # candidate to the next: tails read only once every batch has been made must
+        # still be the stream read in order, with the same stats
+        from cyclefactor.factorization import factor_batches
+
+        for d in range(2, 8):
+            for e in genus0_types(d):
+                in_order, late = {}, {}
+                flat = [prefix + tail for prefix, tails in factor_batches(d, e, in_order) for tail in tails]
+                batches = list(factor_batches(d, e, late))
+                assert [prefix + tail for prefix, tails in batches for tail in tails] == flat, (d, e)
+                assert late == in_order, (d, e)
+
     def test_first_change_goes_by_identity(self):
         from cyclefactor.factorization import first_change
 
