@@ -76,7 +76,7 @@ from .trees import (
     tree_from_json,
     tree_to_json,
 )
-from .verify import run_checks
+from .verify import run_checks, selected
 
 ENV_CAP = "CYCLEFACTOR_MAX_D"
 DEFAULT_CAP = 7
@@ -248,8 +248,7 @@ def cmd_enumerate(args) -> int:
         if args.s is not None:
             svertices = _parse_int_list(args.s, "--s")
         else:
-            total = sum(vd)
-            svertices = tuple(range(total + 1, total + len(vd)))
+            svertices = default_svertices(sum(vd), len(vd) - 1)
         for m in enumerate_mnr(svertices, vd):
             _emit(mnr_to_json(m), sys.stdout)
             count += 1
@@ -355,12 +354,9 @@ def _default_s(value):
         name = dict(zip(value.svertices, svertices))
         edges = frozenset((name[s], v) for s, v in value.edges)
         return FactorizationGraph(value.d, svertices, edges, value.tau)
-    d, svertices = value.total_nodes, value.tree.svertices
-    name = {0: 0, **{s: d + j for j, s in enumerate(svertices, start=1)}}
-    tree = RootedTree(
-        tuple(name[s] for s in svertices),
-        tuple((name[c], name[p]) for c, p in value.tree.parents),
-    )
+    svertices = default_svertices(value.total_nodes, len(value.tree.svertices))
+    name = {0: 0, **dict(zip(value.tree.svertices, svertices))}
+    tree = RootedTree(svertices, tuple((name[c], name[p]) for c, p in value.tree.parents))
     return MultiNodedRootedTree(tree, value.vertex_data, tuple((name[c], b) for c, b in value.beta))
 
 
@@ -388,21 +384,19 @@ def cmd_convert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # --only selects the transpositions check, which brute-forces every degree up to --max-d
-    if args.only is not None and args.only in "transpositions" and args.max_d > (cap := _default_cap()):
+    # the transpositions check brute-forces every degree up to --max-d
+    if "transpositions" in selected(args.only) and args.max_d > (cap := _default_cap()):
         raise CapExceededError(f"verify brute-forces degree {args.max_d}, past the cap {cap}; set {ENV_CAP} to override")
     results = run_checks(max_d=args.max_d, seed=args.seed, only=args.only)
     if not results:
         print(f"no checks match --only {args.only!r}", file=sys.stderr)
         return 2
-    width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        failed += not r.passed
-        print(f"{tag}  {r.name.ljust(width)}  {r.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
+    width = max(len(name) for name, _ in results)
+    for name, r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'}  {name.ljust(width)}  {r.detail}")
+    passed = sum(r.passed for _, r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 1
 
 
 def cmd_export(args) -> int:

@@ -321,7 +321,9 @@ def mnr_from_json(data: dict) -> MultiNodedRootedTree:
     svertices = tuple(sorted(integers(svertices, "S")))
     parents, beta = [], []
     for edge in array(edges, "edges"):
-        p, c, b = (integer(x, "edges") for x in fields(edge, "parent", "child", "beta"))
+        if not isinstance(edge, dict) or not {"parent", "child", "beta"} <= edge.keys():
+            raise ValueError(f"edges must hold objects with parent, child and beta, got {edge!r}")
+        p, c, b = (integer(edge[k], "edges") for k in ("parent", "child", "beta"))
         parents.append((c, p))
         beta.append((c, b))
     tree = check_tree(RootedTree(svertices, tuple(parents)))

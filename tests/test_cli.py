@@ -19,7 +19,7 @@ from cyclefactor import worked_example as we
 from cyclefactor.bijection import phi_labeled, psi, unique_labeling
 from cyclefactor.cli import main
 from cyclefactor.factorization import enumerate_factorizations, factorization_to_json
-from cyclefactor.graph import factorization_of, graph_of, graph_to_json
+from cyclefactor.graph import Decomposition, factorization_of, graph_of, graph_to_json
 from cyclefactor.perm import standard_cycle
 from cyclefactor.trees import PruferMatrix, mnr_decode, mnr_from_json, mnr_to_json
 from cyclefactor.verify import compositions, genus0_types
@@ -185,7 +185,71 @@ BAD_TREES = [
         _tree_json([5], [1, 1], [(0, 5, 1)], {"(0,1)": 1, "(5,1)": 3}),
         "labels must be a bijection onto [1, 2]",
     ),
+    (
+        "edge-not-object",
+        "mnr2graph",
+        '{"S":[5],"vertex_data":[1,1],"edges":[[0,5]]}',
+        "edges must hold objects with parent, child and beta, got [0, 5]",
+    ),
+    (
+        "edge-missing-field",
+        "mnr2graph",
+        '{"S":[5],"vertex_data":[1,1],"edges":[{"parent":0,"child":5}]}',
+        "edges must hold objects with parent, child and beta, got {'parent': 0, 'child': 5}",
+    ),
 ]
+
+def _plus_one(name):
+    real = getattr(verify, name)
+    return lambda *args: real(*args) + 1
+
+
+# (check, collaborator in cyclefactor.verify, its stand-in, the FAIL line at --max-d 3):
+# one for every check but main-count, which test_failing_check reaches
+FAILING_CHECKS = [
+    ("transpositions", "count_factorizations", lambda: _plus_one("count_factorizations"), "d=2: 2 != 1"),
+    (
+        "hurwitz-identity",
+        "hurwitz_count_bruteforce",
+        lambda: _plus_one("hurwitz_count_bruteforce"),
+        "d=2 e=(2,): 3/2 * 2 != 1",
+    ),
+    (
+        "cross-formulas",
+        "formula_hurwitz_4point",
+        lambda: _plus_one("formula_hurwitz_4point"),
+        "4pt d=3 e=(2, 2, 2, 2)",
+    ),
+    ("prufer-bijectivity", "mnr_cardinality", lambda: _plus_one("mnr_cardinality"), "vertex_data=(1, 1)"),
+    ("bijection-pipeline", "psi", lambda: lambda lm: None, "inverse d=2 e=(2,)"),
+    ("characterization", "gate_failure", lambda: lambda g: None, "d=3 e=(2, 2): gate 9, CICPP 3, images 3"),
+    ("golden-files", "graph_to_json", lambda: lambda g: {}, "graph JSON differs"),
+    ("circle-splitting", "is_counterclockwise_on", lambda: lambda eta, mu: False, "mu=(1) eta=(1)"),
+    (
+        "decomposition",
+        "decompose_at_last",
+        lambda: lambda g: Decomposition(0, (), (), (), ()),
+        "partition d=3 e=(2, 2)",
+    ),
+    ("clockwise-reading", "is_clockwise_on", lambda: lambda eta, tau: False, "d=2 e=(2,) sigma=(1 2)"),
+    ("partition-properties", "has_cpp", lambda: lambda g, s: False, "CPP d=2 e=(2,)"),
+]
+
+# the whole table of verify --max-d 4
+VERIFY_D4 = """\
+PASS  main-count            7 genus-0 types by walker and Cayley prune, d <= 4
+PASS  hurwitz-identity      7 types, d <= 4
+PASS  cross-formulas        4pt d <= 4, simple d <= 4, index d <= 4
+PASS  prufer-bijectivity    355 trees, node total <= 5, plus random |S| <= 12
+PASS  bijection-pipeline    30 objects, d <= 4
+PASS  characterization      276 degree graphs: gate = CICPP = images, d <= 4
+PASS  golden-files          graph, tree, labeling, matrix
+PASS  circle-splitting      164 pairs, cycles up to 4
+PASS  decomposition         30 graphs, d <= 4
+PASS  clockwise-reading     30 factorizations, d <= 4
+PASS  partition-properties  30 graphs, d <= 4
+11/11 checks passed
+"""
 
 # (id, input, message): one codec matrix for every check that the matrix
 # reader runs on the two rows and the decoder on the vertex data, and inputs
@@ -1080,6 +1144,17 @@ class TestVerify:
             "FAIL  main-count  d=2 e=(2,): walker 2, Cayley prune 1, expected 1\n0/1 checks passed\n",
         )
 
+
+    def test_whole_table(self, capsys):
+        assert run(capsys, "verify", "--max-d", "4")[:2] == (0, VERIFY_D4)
+
+    @pytest.mark.parametrize(
+        "check, name, fake, detail", FAILING_CHECKS, ids=[case[0] for case in FAILING_CHECKS]
+    )
+    def test_each_check_fails(self, capsys, monkeypatch, check, name, fake, detail):
+        monkeypatch.setattr(verify, name, fake())
+        code, out, _ = run(capsys, "verify", "--max-d", "3", "--only", check)
+        assert (code, out) == (1, f"FAIL  {check}  {detail}\n0/1 checks passed\n")
 
 class TestExport:
     def test_graph_dot(self, capsys, monkeypatch):
