@@ -22,7 +22,7 @@ from cyclefactor.factorization import (
     pure_cycle_datum,
     validate,
 )
-from cyclefactor.perm import Cycle, positions, pure_cycle_type, standard_cycle
+from cyclefactor.perm import Cycle, positions, product, pure_cycle_type, standard_cycle
 from cyclefactor.worked_example import factorization as worked_factorization
 
 
@@ -114,10 +114,11 @@ class TestValidate:
 
     def test_swap_breaks_product(self):
         f = worked_factorization()
-        swapped = Factorization(
-            f.ftype, f.tau, (f.sigmas[1], f.sigmas[0]) + f.sigmas[2:]
-        )
+        # (14 15 19) and (1 19) share 19, so they do not commute
+        sigmas = (f.sigmas[0], f.sigmas[2], f.sigmas[1]) + f.sigmas[3:]
+        swapped = Factorization(f.ftype, f.tau, sigmas)
         # oracle: direct product evaluation says the swap changes the product
+        assert product((s.images() for s in sigmas), 20) != f.tau.images()
         assert not validate(swapped)
 
 
@@ -213,7 +214,6 @@ class TestEnumeration:
         # every genus-1 type at d <= 4, and those with at most three factors at d = 5.
         # The search core on tau gives them by value, the records by position round tau
         from cyclefactor.factorization import _cayley_stream
-        from cyclefactor.perm import product
         from cyclefactor.verify import compositions
 
         rng = random.Random(5)
