@@ -24,7 +24,6 @@ from .perm import (
 from .factorization import (
     CapExceededError,
     Factorization,
-    FactorizationType,
     HurwitzDatum,
     count_by_cycle_index,
     count_factorizations,
@@ -33,6 +32,7 @@ from .factorization import (
     factorization_to_json,
     formula_hurwitz_4point,
     formula_hurwitz_simple,
+    genus,
     hurwitz_count_bruteforce,
     pure_cycle_datum,
     validate,

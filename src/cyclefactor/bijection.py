@@ -69,7 +69,7 @@ def psi(lm: LabeledMNR) -> FactorizationGraph:
     label_of, parent_of, beta_of = lm.label_of, m.tree.parent_of, m.beta_of
     edges = [(v, x) for (v, _), x in lm.labels if v]  # each S-vertex to its own nodes, the root 0 left out
     edges.extend([(s, label_of((parent_of(s), beta_of(s)))) for s in m.tree.svertices])
-    return FactorizationGraph(d, m.tree.svertices, frozenset(edges), standard_cycle(d))
+    return FactorizationGraph(m.tree.svertices, frozenset(edges), standard_cycle(d))
 
 
 def unique_labeling(m: MultiNodedRootedTree) -> tuple[LabeledMNR, LabelRanges]:

@@ -36,7 +36,6 @@ from .bijection import phi_labeled, psi, unique_labeling
 from .factorization import (
     CapExceededError,
     Factorization,
-    FactorizationType,
     count_by_cycle_index,
     count_factorizations,
     enumerate_factorizations,
@@ -44,6 +43,7 @@ from .factorization import (
     factorization_from_json,
     factorization_to_json,
     first_change,
+    genus,
 )
 from .graph import (
     FactorizationGraph,
@@ -157,16 +157,16 @@ def cmd_count(args) -> int:
         return 0
     e = _parse_int_list(args.e, "--e")
     d = args.d
-    if args.method == "all" and (genus := FactorizationType(d, e).genus):
+    if args.method == "all" and (g := genus(d, e)):
         # refused before the search, which the formula would refuse after it
-        raise ValueError(f"--method all compares with the formula, which requires genus 0, got genus {genus}")
+        raise ValueError(f"--method all compares with the formula, which requires genus 0, got genus {g}")
     methods = ["bruteforce", "formula", "bijection"] if args.method == "all" else [args.method]
     stats: dict = {}
 
     def one(method: str):
         if method == "bruteforce":
             _check_cap(d, args)
-            FactorizationType(d, e)  # reports a bad type before the estimate
+            genus(d, e)  # reports a bad type before the estimate
             if args.cap is not None and d > DEFAULT_CAP:
                 prefixes = 1
                 for ei in e[:-1]:
@@ -212,7 +212,7 @@ def cmd_enumerate(args) -> int:
             raise ValueError("--d and --e are required for this kind")
         e = _parse_int_list(args.e, "--e")
         _check_cap(args.d, args)
-        FactorizationType(args.d, e)  # reports a bad degree before tau is built
+        genus(args.d, e)  # reports a bad degree before tau is built
         tau = standard_cycle(args.d)
         if args.kind == "factorization":
             # factorization_to_json(f), with its fixed d and tau rendered once; each
@@ -325,17 +325,17 @@ def _to_standard_circle(value):
     m = len(place)
     if isinstance(value, FactorizationGraph):
         edges = frozenset((s, place[v]) for s, v in value.edges)
-        return FactorizationGraph(m, value.svertices, edges, standard_cycle(m)), place
+        return FactorizationGraph(value.svertices, edges, standard_cycle(m)), place
     sigmas = tuple(Cycle(m, tuple(map(place.__getitem__, s.elements))) for s in value.sigmas)
-    return Factorization(value.ftype, standard_cycle(m), sigmas), place
+    return Factorization(standard_cycle(m), sigmas), place
 
 
 def _convert(direction: str, data: dict):
     """The value read as the direction's source, moved onto (1 2 ... m) for a fold, and its JSON output."""
     source, target = _DIRECTIONS[direction]
     value = _read(source, data)
-    if direction == "fac2mnr" and (genus := value.ftype.genus):
-        raise ValueError(f"a genus-{genus} factorization has no multi-noded tree: only genus 0 folds")
+    if direction == "fac2mnr" and (g := genus(value.d, [s.length for s in value.sigmas])):
+        raise ValueError(f"a genus-{g} factorization has no multi-noded tree: only genus 0 folds")
     if direction in ("fac2mnr", "graph2mnr"):
         value, place = _to_standard_circle(value)
     out = value
@@ -353,7 +353,7 @@ def _default_s(value):
         svertices = default_svertices(value.d, len(value.svertices))
         name = dict(zip(value.svertices, svertices))
         edges = frozenset((name[s], v) for s, v in value.edges)
-        return FactorizationGraph(value.d, svertices, edges, value.tau)
+        return FactorizationGraph(svertices, edges, value.tau)
     svertices = default_svertices(value.total_nodes, len(value.tree.svertices))
     name = {0: 0, **dict(zip(value.tree.svertices, svertices))}
     tree = RootedTree(svertices, tuple((name[c], name[p]) for c, p in value.tree.parents))
@@ -465,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="emit DOT for a graph or multi-noded tree")
-    p.add_argument("--format", choices=["dot"], default="dot")
     p.add_argument("--input", help="read JSON from a file instead of stdin")
     p.set_defaults(func=cmd_export)
 

@@ -34,6 +34,8 @@ is that stream, the only one: a count reads only the pairs, ``enumerate``
 renders a prefix once per batch, and ``enumerate_factorizations`` wraps it
 into records on tau, each prefix factor once per batch.
 
+A ``Factorization`` holds tau and the factors; its type (d; e_1, ..., e_{r-1})
+is d = |tau| and the factors' lengths, and ``genus(d, e)`` checks a type.
 The search core reads cycles through the one cycle walker, ``perm.cycles_of``.
 ``validate`` checks a given factorization in O(|tau| + sum(e_i)): each
 factor changes the running product only on its own support.
@@ -68,72 +70,55 @@ class CapExceededError(RuntimeError):
     """A brute-force search was requested beyond its configured size cap."""
 
 
-@dataclass(frozen=True)
-class FactorizationType:
-    """Degree d plus the ordered factor lengths (e_1, ..., e_{r-1}), e_i >= 2.
+def genus(d: int, e) -> int:
+    """The genus g of the type (d; e_1, ..., e_{r-1}), from sum(e_i - 1) = d - 1 + 2g.
 
-    The genus is determined by sum(e_i - 1) = d - 1 + 2g and must come out a
-    nonnegative integer.
+    It refuses a degree below 1, no factor length, a length outside [2, d],
+    and a g that is not a nonnegative integer.
     """
-
-    d: int
-    e: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        e = tuple(self.e)
-        object.__setattr__(self, "e", e)
-        if self.d < 1:
-            raise ValueError("degree must be positive")
-        if not e:
-            raise ValueError("need at least one factor length (r >= 2)")
-        if any(not 2 <= ei <= self.d for ei in e):
-            raise ValueError(f"factor lengths must lie in [2, {self.d}]: {e!r}")
-        excess = sum(ei - 1 for ei in e) - (self.d - 1)
-        if excess < 0 or excess % 2:
-            raise ValueError(
-                f"sum(e_i - 1) = {sum(ei - 1 for ei in e)} is not d-1+2g "
-                f"for a nonnegative integer g (d = {self.d})"
-            )
-
-    @property
-    def r(self) -> int:
-        return len(self.e) + 1
-
-    @property
-    def genus(self) -> int:
-        return (sum(ei - 1 for ei in self.e) - (self.d - 1)) // 2
+    e = tuple(e)
+    if d < 1:
+        raise ValueError("degree must be positive")
+    if not e:
+        raise ValueError("need at least one factor length (r >= 2)")
+    if any(not 2 <= ei <= d for ei in e):
+        raise ValueError(f"factor lengths must lie in [2, {d}]: {e!r}")
+    total = sum(ei - 1 for ei in e)
+    excess = total - (d - 1)
+    if excess < 0 or excess % 2:
+        raise ValueError(f"sum(e_i - 1) = {total} is not d-1+2g for a nonnegative integer g (d = {d})")
+    return excess // 2
 
 
 @dataclass(frozen=True)
 class Factorization:
     """A tuple of cycles multiplying (left to right) to the base cycle tau.
 
-    ``ftype.d`` is the length of tau; the ambient degree is ``tau.degree``.
-    The two coincide for factorizations of a full d-cycle, and differ for the
+    The type is read off the record: d is the length of tau and the factor
+    lengths are the sigmas' lengths.  The ambient degree is ``tau.degree``;
+    it equals d for factorizations of a full d-cycle, and is larger for the
     sub-factorizations living on a sub-circle.  A plain record: the reader,
     ``factorization_from_json``, checks outside data, and ``validate`` proves
     a hand-built value.
     """
 
-    ftype: FactorizationType
     tau: Cycle
     sigmas: tuple[Cycle, ...]
 
     @property
     def d(self) -> int:
-        return self.ftype.d
+        return self.tau.length
 
 
 def validate(f: Factorization) -> bool:
-    """True iff the factors match the type, sit inside supp(tau), and multiply to tau.
+    """True iff there are factors, each of length >= 2, inside supp(tau), multiplying to tau.
 
     The product is kept as one image map on supp(tau) that each factor
     changes only on its own support, so the cost is O(|tau| + sum(e_i)),
-    whatever the ambient degree.
+    whatever the ambient degree.  A product equal to tau makes the genus of
+    the factors' lengths a nonnegative integer.
     """
-    if len(f.sigmas) != len(f.ftype.e):
-        return False
-    if any(s.length != ei for s, ei in zip(f.sigmas, f.ftype.e)):
+    if not f.sigmas or any(s.length < 2 for s in f.sigmas):
         return False
     support = f.tau.support
     if any(not s.support <= support for s in f.sigmas):
@@ -525,7 +510,7 @@ def factor_batches(d: int, e, stats: dict | None = None):
     search core's solved tuple, with its nodes, targets and reuses.
     """
     e = tuple(e)
-    if FactorizationType(d, e).genus == 0:  # validates lengths and genus
+    if genus(d, e) == 0:  # validates lengths and genus
         stats = {} if stats is None else stats
         stats.update(nodes=0, candidates=0, dead_ends=0)
         return _walk_genus0(d, e, stats)
@@ -553,8 +538,7 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
     is wrapped once while consecutive prefixes share it, so consecutive
     records share their leading ``Cycle`` objects.
     """
-    ftype = FactorizationType(d, tuple(e))  # the type is checked before tau
-    batches = factor_batches(d, ftype.e, stats)
+    batches = factor_batches(d, e, stats)  # the type is checked before tau
     if tau.degree != d or tau.length != d:
         raise ValueError(f"tau must be a {d}-cycle of degree {d}")
     if tau == standard_cycle(d):
@@ -572,7 +556,7 @@ def enumerate_factorizations(d: int, tau: Cycle, e, stats: dict | None = None) -
             head[i:] = map(wrap, prefix[i:])
             previous, sigmas = prefix, tuple(head)
             for tail in tails:
-                yield Factorization(ftype, tau, sigmas + tuple(map(wrap, tail)))
+                yield Factorization(tau, sigmas + tuple(map(wrap, tail)))
 
     return gen()
 
@@ -590,16 +574,16 @@ def count_factorizations(d: int, e, method: str = "bruteforce", stats: dict | No
         encoding maps factorizations onto, also genus 0 only.
     """
     e = tuple(e)
-    ftype = FactorizationType(d, e)
+    g = genus(d, e)
     if method == "bruteforce":
         batches = factor_batches(d, e, stats)
-        if ftype.genus:
+        if g:
             return sum(len(found) for _, found in batches)
         return sum(1 for _, tails in batches for _ in tails)
-    if ftype.genus != 0:
-        raise ValueError(f"method {method!r} requires genus 0, got genus {ftype.genus}")
+    if g != 0:
+        raise ValueError(f"method {method!r} requires genus 0, got genus {g}")
     if method == "formula":
-        return d ** (ftype.r - 2)
+        return d ** (len(e) - 1)
     if method == "bijection":
         return mnr_cardinality((1,) + tuple(ei - 1 for ei in e))
     raise ValueError(f"unknown method {method!r}")
@@ -756,8 +740,8 @@ def factorization_from_json(data: dict) -> Factorization:
     degree = integer(degree, "d")
     tau = check_cycle(degree, integers(tau, "tau"))
     sigmas = tuple(check_cycle(degree, integers(s, "sigmas")) for s in array(sigmas, "sigmas"))
-    ftype = FactorizationType(tau.length, tuple(s.length for s in sigmas))
-    f = Factorization(ftype, tau, sigmas)
+    genus(tau.length, [s.length for s in sigmas])  # names a bad type before the product
+    f = Factorization(tau, sigmas)
     if not validate(f):
         raise ValueError("not a factorization: the ordered product is not tau")
     return f

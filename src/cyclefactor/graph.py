@@ -14,9 +14,10 @@ have degree >= 2 is a factorization graph iff reading each S-vertex's
 neighbors clockwise gives cycles that multiply to tau.  Such a tree is the
 graph of that reading, and every factorization graph reads clockwise.  CICPP
 stays the paper's theorem; ``verify`` checks that it carves out the same set.
-``FactorizationGraph`` is a plain record: ``graph_from_json`` checks that
-outside data is an S-[d] bipartite graph, the gate proves a graph read from
-outside or built by hand, and the arrows build and trust theirs.
+``FactorizationGraph`` is a plain record whose degree d is ``tau.degree``:
+``graph_from_json`` checks that outside data is an S-[d] bipartite graph,
+the gate proves a graph read from outside or built by hand, and the arrows
+build and trust theirs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._json import fields, integer, integers, pairs
-from .factorization import Factorization, FactorizationType, validate
+from .factorization import Factorization, validate
 from .perm import (
     Cycle,
     check_cycle,
@@ -46,7 +47,8 @@ class FactorizationGraph:
     """An S-[d] bipartite graph with a reference circle.
 
     The [d]-side is the support of ``tau`` (the full [1, d] for whole graphs;
-    a sub-circle for the subtrees produced by :func:`decompose_at_last`).
+    a sub-circle for the subtrees produced by :func:`decompose_at_last`), and
+    the degree d is ``tau.degree``.
     ``svertices`` is a strictly increasing tuple of integers outside [0, d].
     A plain record: the constructor only builds the adjacency of the frozenset
     ``edges``, per S-vertex, with no sort of the whole edge set: each S-vertex
@@ -55,7 +57,6 @@ class FactorizationGraph:
     data, and ``gate_failure`` proves a hand-built graph.
     """
 
-    d: int
     svertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     tau: Cycle
@@ -73,6 +74,10 @@ class FactorizationGraph:
                 v_adj[v].append(s)
         object.__setattr__(self, "_s_adj", {s: tuple(vs) for s, vs in s_adj.items()})
         object.__setattr__(self, "_v_adj", {v: tuple(ss) for v, ss in v_adj.items()})
+
+    @property
+    def d(self) -> int:
+        return self.tau.degree
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -124,12 +129,11 @@ def graph_of(f: Factorization) -> FactorizationGraph:
     gate rejects the graph of factors that do not multiply to tau.  A graph
     on another S is built with ``FactorizationGraph`` directly.
     """
-    ambient = f.tau.degree
-    svertices = default_svertices(ambient, len(f.sigmas))
+    svertices = default_svertices(f.tau.degree, len(f.sigmas))
     edges = frozenset(
         (s, v) for s, sigma in zip(svertices, f.sigmas) for v in sigma.elements
     )
-    return FactorizationGraph(ambient, svertices, edges, f.tau)
+    return FactorizationGraph(svertices, edges, f.tau)
 
 
 def _degree_failure(g: FactorizationGraph) -> str | None:
@@ -234,9 +238,7 @@ def factorization_of(g: FactorizationGraph) -> Factorization:
     for v in g.tau.elements:
         for s in v_adj[v]:
             readings[s].append(v)
-    sigmas = tuple(Cycle(g.tau.degree, tuple(vs)) for vs in readings.values())
-    ftype = FactorizationType(g.tau.length, tuple(s.length for s in sigmas))
-    return Factorization(ftype, g.tau, sigmas)
+    return Factorization(g.tau, tuple(Cycle(g.tau.degree, tuple(vs)) for vs in readings.values()))
 
 
 @dataclass(frozen=True)
@@ -275,9 +277,7 @@ def decompose_at_last(g: FactorizationGraph) -> Decomposition:
     for gamma_i in ordered:
         sset = comp_by_dset[frozenset(gamma_i.elements)]
         sub_edges = frozenset((s, v) for s in sset for v in g.neighbors_of_s(s))
-        subtrees.append(
-            FactorizationGraph(g.d, tuple(sorted(sset)), sub_edges, gamma_i)
-        )
+        subtrees.append(FactorizationGraph(tuple(sorted(sset)), sub_edges, gamma_i))
         bsets.append(frozenset(factor_index[s] for s in sset))
 
     gammas = tuple(ordered)
@@ -302,7 +302,7 @@ def enumerate_degree_graphs(d: int, e):
         edges = frozenset(
             (s, v) for s, supp in zip(svertices, supports) for v in supp
         )
-        yield FactorizationGraph(d, svertices, edges, tau)
+        yield FactorizationGraph(svertices, edges, tau)
 
 
 def graph_to_json(g: FactorizationGraph) -> dict:
@@ -336,7 +336,7 @@ def graph_from_json(data: dict) -> FactorizationGraph:
     for s, v in listed:
         if s not in sset or v not in vset:
             raise ValueError(f"edge ({s}, {v}) is not S-to-[d]")
-    return FactorizationGraph(d, svertices, frozenset(listed), tau)
+    return FactorizationGraph(svertices, frozenset(listed), tau)
 
 
 def graph_to_dot(g: FactorizationGraph) -> str:

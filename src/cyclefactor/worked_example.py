@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .factorization import Factorization, FactorizationType
+from .factorization import Factorization
 from .perm import Cycle, standard_cycle
 
 SIGMA_ELEMENTS = (
@@ -26,12 +26,11 @@ SIGMA_ELEMENTS = (
 )
 
 D = 20
-E = tuple(len(s) for s in SIGMA_ELEMENTS)
 
 
 def factorization() -> Factorization:
     sigmas = tuple(Cycle(D, elems) for elems in SIGMA_ELEMENTS)
-    return Factorization(FactorizationType(D, E), standard_cycle(D), sigmas)
+    return Factorization(standard_cycle(D), sigmas)
 
 
 def dumps(data: dict) -> str:

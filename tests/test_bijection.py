@@ -13,7 +13,6 @@ from cyclefactor.bijection import (
 from cyclefactor.cli import _to_standard_circle
 from cyclefactor.factorization import (
     Factorization,
-    FactorizationType,
     enumerate_factorizations,
     validate,
 )
@@ -56,7 +55,7 @@ def genus0_types(d):
 
 def star_graph(d):
     tau = standard_cycle(d)
-    return graph_of(Factorization(FactorizationType(d, (d,)), tau, (tau,)))
+    return graph_of(Factorization(tau, (tau,)))
 
 
 def assert_reads_back(g):
@@ -118,7 +117,6 @@ class TestPhiLabeled:
 
     def test_rejects_non_factorization_graph(self, assert_gate_rejects):
         g = FactorizationGraph(
-            4,
             (5, 6),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
@@ -128,10 +126,10 @@ class TestPhiLabeled:
     def test_graph_without_factor_vertices(self, assert_gate_rejects):
         # one vertex is the graph of the empty factorization of a 1-cycle;
         # on more vertices an edgeless graph is no tree
-        one = FactorizationGraph(1, (), frozenset(), standard_cycle(1))
+        one = FactorizationGraph((), frozenset(), standard_cycle(1))
         assert gate_failure(one) is None
         assert phi_labeled(one).mnr.vertex_data == (1,)
-        three = FactorizationGraph(3, (), frozenset(), standard_cycle(3))
+        three = FactorizationGraph((), frozenset(), standard_cycle(3))
         assert_gate_rejects(three, "not a tree")
 
     def test_nonstandard_tau_is_relabeled(self):
@@ -438,21 +436,21 @@ def full_product_matches(f):
 def perturbations(rng, f):
     """f with two adjacent factors swapped, with one factor inverted, and with another tau.
 
-    Each keeps the factor lengths matching the type and the factors inside
-    supp(tau), so only the product can tell it from a factorization.
+    Each keeps its factors, of lengths >= 2, inside supp(tau), so only the
+    product can tell it from a factorization.
     """
     sigmas, tau = f.sigmas, f.tau
     if len(sigmas) > 1:
         i = rng.randrange(len(sigmas) - 1)
         swapped = sigmas[:i] + (sigmas[i + 1], sigmas[i]) + sigmas[i + 2:]
-        yield Factorization(FactorizationType(f.d, tuple(s.length for s in swapped)), tau, swapped)
+        yield Factorization(tau, swapped)
     i = max(range(len(sigmas)), key=lambda j: sigmas[j].length)
-    yield Factorization(f.ftype, tau, sigmas[:i] + (sigmas[i].inverse(),) + sigmas[i + 1:])
+    yield Factorization(tau, sigmas[:i] + (sigmas[i].inverse(),) + sigmas[i + 1:])
     if tau.length > 2:  # a 2-cycle is the only cycle on its support
         elems = list(tau.elements)
         while Cycle(tau.degree, tuple(elems)) == tau:
             rng.shuffle(elems)
-        yield Factorization(f.ftype, Cycle(tau.degree, tuple(elems)), sigmas)
+        yield Factorization(Cycle(tau.degree, tuple(elems)), sigmas)
 
 
 class TestValidateOracle:

@@ -982,6 +982,20 @@ class TestConvert:
         assert (code, out) == (2, "")
         assert err == "error: not a factorization: the ordered product is not tau\n"
 
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            ("[]", "need at least one factor length (r >= 2)"),
+            ("[[1],[1,2,3]]", "factor lengths must lie in [2, 3]: (1, 3)"),
+            ("[[1,2],[2,3],[1,3]]", "sum(e_i - 1) = 3 is not d-1+2g for a nonnegative integer g (d = 3)"),
+        ],
+        ids=["no-factors", "1-cycle", "half-integer-genus"],
+    )
+    def test_bad_type_is_refused_by_the_reader(self, capsys, monkeypatch, sigmas, message):
+        stdin = f'{{"d":3,"tau":[1,2,3],"sigmas":{sigmas}}}'
+        code, out, err = run(capsys, "convert", "--direction", "fac2graph", stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("roundtrip", [False, True], ids=["once", "roundtrip"])
     @pytest.mark.parametrize("stdin, genus", POSITIVE_GENUS, ids=["transpositions", "3-cycles", "genus-2"])
     def test_positive_genus_has_no_tree(self, capsys, monkeypatch, stdin, genus, roundtrip):

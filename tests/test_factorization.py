@@ -9,7 +9,6 @@ import pytest
 from cyclefactor.factorization import (
     CapExceededError,
     Factorization,
-    FactorizationType,
     HurwitzDatum,
     count_by_cycle_index,
     count_factorizations,
@@ -18,6 +17,7 @@ from cyclefactor.factorization import (
     factorization_to_json,
     formula_hurwitz_4point,
     formula_hurwitz_simple,
+    genus,
     hurwitz_count_bruteforce,
     pure_cycle_datum,
     validate,
@@ -90,17 +90,19 @@ WALKER_TOTALS_D8 = (318669, 872420, 22374)
 
 
 class TestFactorizationType:
+    """A type (d; e_1, ..., e_{r-1}) is checked, and its genus read, by ``genus``."""
+
     def test_genus(self):
-        assert FactorizationType(4, (2, 2, 2)).genus == 0
-        assert FactorizationType(3, (3, 3)).genus == 1
+        assert genus(4, (2, 2, 2)) == 0
+        assert genus(3, (3, 3)) == 1
 
     def test_rejects_half_integer_genus(self):
         with pytest.raises(ValueError):
-            FactorizationType(3, (2, 2, 2))
+            genus(3, (2, 2, 2))
 
     def test_rejects_short_factors(self):
         with pytest.raises(ValueError):
-            FactorizationType(3, (1, 3))
+            genus(3, (1, 3))
 
 
 class TestValidate:
@@ -109,17 +111,30 @@ class TestValidate:
 
     def test_single_factor(self):
         tau = standard_cycle(4)
-        f = Factorization(FactorizationType(4, (4,)), tau, (tau,))
+        f = Factorization(tau, (tau,))
         assert validate(f)
 
     def test_swap_breaks_product(self):
         f = worked_factorization()
         # (14 15 19) and (1 19) share 19, so they do not commute
         sigmas = (f.sigmas[0], f.sigmas[2], f.sigmas[1]) + f.sigmas[3:]
-        swapped = Factorization(f.ftype, f.tau, sigmas)
+        swapped = Factorization(f.tau, sigmas)
         # oracle: direct product evaluation says the swap changes the product
         assert product((s.images() for s in sigmas), 20) != f.tau.images()
         assert not validate(swapped)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Factorization(standard_cycle(3), (Cycle(3, (2,)), standard_cycle(3))),
+            Factorization(standard_cycle(1), ()),
+        ],
+        ids=["1-cycle-factor", "no-factors"],
+    )
+    def test_refuses_short_or_missing_factors(self, f):
+        # each product is tau, but a factor must move at least two points
+        assert product((s.images() for s in f.sigmas), f.tau.degree) == f.tau.images()
+        assert not validate(f)
 
 
 class TestEnumeration:
@@ -166,7 +181,7 @@ class TestEnumeration:
         from cyclefactor.factorization import _search, _single_cycle
 
         target = worked_factorization()
-        e = target.ftype.e
+        e = tuple(s.length for s in target.sigmas)
         tables = []
         for sigma in target.sigmas[:-1]:
             inv = list(range(1, 21))
@@ -396,8 +411,7 @@ class TestEnumeration:
         got = [prefix + tail for prefix, tails in factor_batches(d, e, stats) for tail in tails]
         assert len(got) == d ** (len(e) - 1)
         assert all(a < b for a, b in zip(got, got[1:]))
-        ftype = FactorizationType(d, e)
-        assert all(validate(Factorization(ftype, standard_cycle(d), tuple(Cycle(d, x) for x in f))) for f in got)
+        assert all(validate(Factorization(standard_cycle(d), tuple(Cycle(d, x) for x in f))) for f in got)
         assert stats["candidates"] == stats["nodes"] - 1 + stats["dead_ends"] + len(got)
         rest = list(range(2, d + 1))
         random.Random(d).shuffle(rest)
@@ -628,6 +642,6 @@ class TestJsonAndStandardize:
         assert place == positions(tau) == {1: 1, 3: 2, 2: 3, 4: 4}
         # a sub-circle of a larger degree lands on its own length, on a map of its points only
         sub = Cycle(10**15, (7, 2, 5))
-        std, place = _to_standard_circle(Factorization(FactorizationType(3, (3,)), sub, (sub,)))
+        std, place = _to_standard_circle(Factorization(sub, (sub,)))
         assert (std.tau, std.sigmas) == (standard_cycle(3), (standard_cycle(3),))
         assert place == {2: 1, 5: 2, 7: 3}

@@ -7,7 +7,6 @@ import pytest
 from cyclefactor.bijection import psi, unique_labeling
 from cyclefactor.factorization import (
     Factorization,
-    FactorizationType,
     enumerate_factorizations,
     factorization_from_json,
     factorization_to_json,
@@ -48,7 +47,7 @@ def genus0_types(d):
 
 def star_graph(d):
     tau = standard_cycle(d)
-    f = Factorization(FactorizationType(d, (d,)), tau, (tau,))
+    f = Factorization(tau, (tau,))
     return graph_of(f)
 
 
@@ -93,7 +92,7 @@ def with_negative_svertices(g):
     low = (len(g.svertices) + 1) // 2
     shift = {s: s - 3 * (g.d + len(g.svertices)) if i < low else s for i, s in enumerate(g.svertices)}
     edges = frozenset((shift[s], v) for s, v in g.edges)
-    return FactorizationGraph(g.d, tuple(shift.values()), edges, g.tau)
+    return FactorizationGraph(tuple(shift.values()), edges, g.tau)
 
 
 class TestGraphOf:
@@ -108,9 +107,7 @@ class TestGraphOf:
 
     def test_path_for_two_transpositions(self):
         tau = standard_cycle(3)
-        f = Factorization(
-            FactorizationType(3, (2, 2)), tau, (Cycle(3, (1, 2)), Cycle(3, (2, 3)))
-        )
+        f = Factorization(tau, (Cycle(3, (1, 2)), Cycle(3, (2, 3))))
         g = graph_of(f)
         assert set(g.edges) == {(4, 1), (4, 2), (5, 2), (5, 3)}
         assert g.is_tree()
@@ -118,9 +115,7 @@ class TestGraphOf:
     def test_invalid_factorization_rejected(self, assert_gate_rejects):
         # graph_of checks nothing; the reader and the gate reject the input
         tau = standard_cycle(3)
-        bad = Factorization(
-            FactorizationType(3, (2, 2)), tau, (Cycle(3, (1, 2)), Cycle(3, (1, 3)))
-        )
+        bad = Factorization(tau, (Cycle(3, (1, 2)), Cycle(3, (1, 3))))
         with pytest.raises(ValueError, match="^not a factorization: the ordered product is not tau$"):
             factorization_from_json(factorization_to_json(bad))
         assert_gate_rejects(graph_of(bad), "the clockwise reading does not multiply to tau")
@@ -175,7 +170,7 @@ class TestAdjacency:
         edges = frozenset(
             (s, v) for s in svertices for v in rng.sample(range(1, d + 1), rng.randint(1, 9))
         )
-        self.assert_sorted(FactorizationGraph(d, svertices, edges, standard_cycle(d)))
+        self.assert_sorted(FactorizationGraph(svertices, edges, standard_cycle(d)))
 
 
 def clockwise_reading(g):
@@ -228,7 +223,6 @@ class TestFactorizationOf:
 
     def test_error_names_condition(self, assert_gate_rejects):
         g = FactorizationGraph(
-            4,
             (5, 6),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
@@ -248,7 +242,6 @@ class TestCpp:
     def test_nonconsecutive_subtree(self):
         # subtree {1,3} is not an arc of (1 2 3 4)
         g = FactorizationGraph(
-            4,
             (5, 6),
             frozenset({(5, 1), (5, 3), (6, 1), (6, 2), (6, 4)}),
             standard_cycle(4),
@@ -261,7 +254,6 @@ class TestCpp:
 
     def test_degree_one_rejected(self):
         g = FactorizationGraph(
-            3,
             (4, 5),
             frozenset({(4, 1), (4, 2), (4, 3), (5, 2)}),
             standard_cycle(3),
@@ -285,7 +277,7 @@ class TestCicpp:
         edges = {(s, v) for s, v in WORKED_EDGES if s not in (22, 28)}
         edges |= {(22, 19), (22, 20), (28, 14), (28, 15), (28, 19)}
         g = FactorizationGraph(
-            20, default_svertices(20, 9), frozenset(edges), standard_cycle(20)
+            default_svertices(20, 9), frozenset(edges), standard_cycle(20)
         )
         assert not has_cicpp(g, 19)
 
@@ -293,7 +285,6 @@ class TestCicpp:
         # deleting 1 leaves {5, 2, 4} and {6, 3}: the arc 4, 2 runs through 1,
         # so the walk 4, 3, 2 meets the first component twice
         g = FactorizationGraph(
-            4,
             (5, 6),
             frozenset({(5, 1), (5, 2), (5, 4), (6, 1), (6, 3)}),
             standard_cycle(4),
@@ -310,7 +301,7 @@ class TestCicpp:
         edges = [(7, 2), (7, 6), (8, 1), (8, 4), (9, 1), (9, 6), (10, 2), (10, 3),
                  (10, 6), (11, 3), (11, 5), (12, 2), (12, 3)]
         g = FactorizationGraph(
-            6, tuple(range(7, 13)), frozenset(edges), Cycle(6, (1, 3, 4, 6, 5, 2))
+            tuple(range(7, 13)), frozenset(edges), Cycle(6, (1, 3, 4, 6, 5, 2))
         )
         assert g.neighbors_of_v(3) == (10, 11, 12)
         assert not has_cicpp(g, 3)
@@ -321,7 +312,6 @@ class TestCicpp:
 
     def test_degree_one_rejected(self):
         g = FactorizationGraph(
-            3,
             (4, 5),
             frozenset({(4, 1), (4, 2), (4, 3), (5, 2)}),
             standard_cycle(3),
@@ -336,7 +326,6 @@ class TestCharacterization:
 
     def test_disconnected_fails(self):
         g = FactorizationGraph(
-            4,
             (5, 6),
             frozenset({(5, 1), (5, 2), (6, 3), (6, 4)}),
             standard_cycle(4),
@@ -347,7 +336,7 @@ class TestCharacterization:
         edges = {(s, v) for s, v in WORKED_EDGES if s not in (22, 28)}
         edges |= {(22, 19), (22, 20), (28, 14), (28, 15), (28, 19)}
         g = FactorizationGraph(
-            20, default_svertices(20, 9), frozenset(edges), standard_cycle(20)
+            default_svertices(20, 9), frozenset(edges), standard_cycle(20)
         )
         failure = characterization_failure(g)
         assert failure is not None and "CICPP" in failure
@@ -460,7 +449,7 @@ class TestSerialization:
 
     def test_nondefault_svertices_round_trip(self):
         tau = standard_cycle(3)
-        g = FactorizationGraph(3, (-7,), frozenset((-7, v) for v in tau.elements), tau)
+        g = FactorizationGraph((-7,), frozenset((-7, v) for v in tau.elements), tau)
         assert graph_from_json(graph_to_json(g)) == g
 
     def test_dot_node_count(self):
